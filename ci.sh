@@ -143,4 +143,12 @@ tail -n "$serve_rows_appended" BENCH_serve.json | awk '
     match($0, /"clients": [0-9]+/) { levels[substr($0, RSTART, RLENGTH)]++ }
     END { if (bad > 0 || length(levels) < 2) { print "BENCH_serve.json schema check failed:", bad+0, "malformed row(s),", length(levels), "distinct concurrency level(s)"; exit 1 } }'
 
+# 9. The benchmark package (perfbench/, its own workspace, built in the
+#    directory BENCHMARK.json's runs use) must build against the current
+#    crates and pass its own unit tests, so an exec or serve API change
+#    that breaks the benchmark fails here rather than at the next
+#    benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "ci.sh: all green"

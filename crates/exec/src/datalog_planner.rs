@@ -36,11 +36,12 @@ use crate::fixpoint::{DeltaPlan, FixpointPlan, RulePlan, StratumPlan};
 use crate::opt::OptConfig;
 use crate::plan::{OutputCol, PhysPlan};
 use crate::planner::apply_filter;
+use crate::slots::Source;
 
 /// Lowers a program (range-restriction-checked and stratified first)
 /// into a recursive-query plan for [`crate::fixpoint::eval_fixpoint`],
 /// under the process-wide optimizer setting.
-pub fn plan_datalog(program: &Program, db: &Database) -> ExecResult<FixpointPlan> {
+pub fn plan_datalog<'a>(program: &Program, db: impl Into<Source<'a>>) -> ExecResult<FixpointPlan> {
     plan_datalog_with(program, db, OptConfig::current())
 }
 
@@ -48,11 +49,12 @@ pub fn plan_datalog(program: &Program, db: &Database) -> ExecResult<FixpointPlan
 /// `cfg.reorder` enables cost-based ordering of each rule body's
 /// positive atoms ([`crate::opt::order_atoms`]) in place of the
 /// syntactic left-to-right chain.
-pub fn plan_datalog_with(
+pub fn plan_datalog_with<'a>(
     program: &Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<FixpointPlan> {
+    let src = db.into();
     check_range_restriction(program)?;
     let arities = idb_arities(program)?;
     let schemas: HashMap<String, Schema> =
@@ -63,12 +65,12 @@ pub fn plan_datalog_with(
         for component in split_layer(layer) {
             let mut rules = Vec::new();
             for rule in &component.rules {
-                let full = compile_rule(rule, db, &arities, None, cfg)?;
+                let full = compile_rule(rule, &src, &arities, None, cfg)?;
                 let mut deltas = Vec::new();
                 for occurrence in component.delta_occurrences(rule) {
                     deltas.push(DeltaPlan {
                         occurrence,
-                        plan: compile_rule(rule, db, &arities, Some(occurrence), cfg)?,
+                        plan: compile_rule(rule, &src, &arities, Some(occurrence), cfg)?,
                     });
                 }
                 rules.push(RulePlan {
@@ -86,7 +88,7 @@ pub fn plan_datalog_with(
         }
     }
     let plan = FixpointPlan { strata: strata_plans, query: program.query.clone(), schemas };
-    crate::verify::debug_verify_fixpoint(&plan, db);
+    crate::verify::debug_verify_fixpoint(&plan, src.db());
     Ok(plan)
 }
 
@@ -272,7 +274,7 @@ fn scan_atom(
 #[allow(clippy::indexing_slicing)]
 fn compile_rule(
     rule: &Rule,
-    db: &Database,
+    src: &Source<'_>,
     arities: &HashMap<String, usize>,
     delta_occ: Option<usize>,
     cfg: OptConfig,
@@ -299,13 +301,13 @@ fn compile_rule(
     let order: Vec<usize> = if cfg.reorder {
         let atoms: Vec<&Atom> = positives.iter().map(|(_, a)| *a).collect();
         let delta_pos = delta_occ.and_then(|occ| positives.iter().position(|(i, _)| *i == occ));
-        crate::opt::order_atoms(&atoms, delta_pos, db, arities)
+        crate::opt::order_atoms(&atoms, delta_pos, src, arities)
     } else {
         (0..positives.len()).collect()
     };
     for &slot in &order {
         let Some(&(i, atom)) = positives.get(slot) else { continue };
-        let scanned = scan_atom(atom, i, db, arities, delta_occ == Some(i), &mut named)?;
+        let scanned = scan_atom(atom, i, src.db(), arities, delta_occ == Some(i), &mut named)?;
         match plan.take() {
             None => {
                 for (v, pos) in &scanned.vars {
@@ -375,7 +377,7 @@ fn compile_rule(
     // 3. Negated atoms: anti-joins keyed on the atom's bound variables.
     for (i, lit) in rule.body.iter().enumerate() {
         let Literal::Neg(atom) = lit else { continue };
-        let scanned = scan_atom(atom, i, db, arities, false, &mut named)?;
+        let scanned = scan_atom(atom, i, src.db(), arities, false, &mut named)?;
         let mut left_keys = Vec::new();
         let mut right_keys = Vec::new();
         for (v, pos) in &scanned.vars {

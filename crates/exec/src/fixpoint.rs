@@ -31,13 +31,14 @@
 
 use std::collections::HashMap;
 
-use relviz_model::{Database, Relation, Schema};
+use relviz_model::{Relation, Schema};
 
 use crate::error::{ExecError, ExecResult};
 use crate::indexed::IndexedRelation;
 use crate::plan::{write_node, PhysPlan};
 use crate::pool;
 use crate::run::{run_with, ExecContext, FixpointState};
+use crate::slots::Source;
 
 /// One delta variant of a rule: the body position whose positive
 /// same-stratum occurrence reads the delta, and the plan with that
@@ -167,11 +168,11 @@ fn delta_entry<'m>(
 
 /// Runs the fixpoint to completion, returning every IDB relation
 /// (set semantics).
-pub fn eval_fixpoint(
+pub fn eval_fixpoint<'a>(
     plan: &FixpointPlan,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<HashMap<String, Relation>> {
-    eval_fixpoint_with(plan, db, 1)
+    eval_fixpoint_with(plan, &db.into(), 1)
 }
 
 /// Runs the fixpoint with `threads` workers. One thread is exactly
@@ -195,10 +196,10 @@ pub fn eval_fixpoint(
 /// * **partitioned joins** inside each rule, via the execution context.
 pub(crate) fn eval_fixpoint_with(
     plan: &FixpointPlan,
-    db: &Database,
+    src: &Source<'_>,
     threads: usize,
 ) -> ExecResult<HashMap<String, Relation>> {
-    eval_fixpoint_stats(plan, db, threads, None)
+    eval_fixpoint_stats(plan, src, threads, None)
 }
 
 /// [`eval_fixpoint_with`], optionally analyzed: with a stats sink every
@@ -208,7 +209,7 @@ pub(crate) fn eval_fixpoint_with(
 #[allow(clippy::indexing_slicing)]
 pub(crate) fn eval_fixpoint_stats(
     plan: &FixpointPlan,
-    db: &Database,
+    src: &Source<'_>,
     threads: usize,
     stats: Option<std::sync::Arc<crate::stats::QueryStats>>,
 ) -> ExecResult<HashMap<String, Relation>> {
@@ -248,7 +249,7 @@ pub(crate) fn eval_fixpoint_stats(
                     // would force a (counted) copy-on-write detach.
                     local.insert(p.clone(), IndexedRelation::new(schema.clone(), vec![]));
                 }
-                run_stratum(stratum, level[i], db, &mut local, &ctx, inner)?;
+                run_stratum(stratum, level[i], src, &mut local, &ctx, inner)?;
                 Ok::<_, crate::error::ExecError>(
                     stratum
                         .predicates
@@ -264,7 +265,7 @@ pub(crate) fn eval_fixpoint_stats(
             }
         } else {
             for &si in &level {
-                run_stratum(&plan.strata[si], si, db, &mut idb, &ctx, threads)?;
+                run_stratum(&plan.strata[si], si, src, &mut idb, &ctx, threads)?;
             }
         }
     }
@@ -297,7 +298,7 @@ pub(crate) fn eval_fixpoint_stats(
 fn run_stratum(
     stratum: &StratumPlan,
     si: usize,
-    db: &Database,
+    src: &Source<'_>,
     idb: &mut HashMap<String, IndexedRelation>,
     ctx: &ExecContext,
     threads: usize,
@@ -331,7 +332,7 @@ fn run_stratum(
                 threads: (threads / rule_workers).max(1),
             };
             pool::scatter(threads, stratum.rules.len(), ctx.pool_stats(), &|i| {
-                run_with(&stratum.rules[i].full, db, Some(&state), ctx)
+                run_with(&stratum.rules[i].full, src, Some(&state), ctx)
             })
         };
         for (rule, out) in stratum.rules.iter().zip(outs) {
@@ -346,7 +347,7 @@ fn run_stratum(
         for rule in &stratum.rules {
             let out = {
                 let state = FixpointState { idb: &*idb, delta: &no_deltas, threads };
-                run_with(&rule.full, db, Some(&state), ctx)?
+                run_with(&rule.full, src, Some(&state), ctx)?
             };
             absorb(
                 head_entry(idb, &rule.head, "IDB")?,
@@ -387,7 +388,7 @@ fn run_stratum(
                     threads: (threads / variant_workers).max(1),
                 };
                 pool::scatter(threads, variants.len(), ctx.pool_stats(), &|i| {
-                    run_with(&variants[i].1.plan, db, Some(&state), ctx)
+                    run_with(&variants[i].1.plan, src, Some(&state), ctx)
                 })
             };
             for ((ri, _), out) in variants.iter().zip(outs) {
@@ -404,7 +405,7 @@ fn run_stratum(
                 let head = &stratum.rules[ri].head;
                 let out = {
                     let state = FixpointState { idb: &*idb, delta: &materialized, threads };
-                    run_with(&dv.plan, db, Some(&state), ctx)?
+                    run_with(&dv.plan, src, Some(&state), ctx)?
                 };
                 absorb(
                     head_entry(idb, head, "IDB")?,
@@ -570,6 +571,7 @@ mod tests {
     use relviz_datalog::parse::parse_program;
     use relviz_model::catalog::sailors_sample;
     use relviz_model::generate::generate_binary_pair;
+    use relviz_model::Database;
 
     /// Every IDB relation the fixpoint derives must match the reference
     /// evaluator's, predicate by predicate.
@@ -828,7 +830,7 @@ mod tests {
         let plan = plan_datalog(&prog, &db).unwrap();
         let sequential = eval_fixpoint(&plan, &db).unwrap();
         for threads in [2, 8] {
-            let parallel = eval_fixpoint_with(&plan, &db, threads).unwrap();
+            let parallel = eval_fixpoint_with(&plan, &Source::from(&db), threads).unwrap();
             assert_eq!(parallel.len(), sequential.len());
             for (name, rel) in &sequential {
                 let p = &parallel[name];

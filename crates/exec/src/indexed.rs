@@ -313,12 +313,6 @@ pub struct IndexedRelation {
     /// Built lazily by the first absorb / [`insert_if_new`
     /// ](Self::insert_if_new); `None` until then.
     dedup: Arc<Mutex<Option<DedupTable>>>,
-    /// Optimizer sketches ([`crate::opt::TableStats`]), collected when
-    /// an EDB relation is materialized ([`Self::from_relation`] — once
-    /// per query via the scan cache) and shared by every clone. `None`
-    /// for operator outputs, whose cardinalities the estimator derives
-    /// instead of measures.
-    stats: Option<Arc<crate::opt::TableStats>>,
 }
 
 impl IndexedRelation {
@@ -337,25 +331,17 @@ impl IndexedRelation {
             indexes: Arc::new(Mutex::new(IndexMap::default())),
             partitioned: Arc::new(Mutex::new(PartMap::default())),
             dedup: Arc::new(Mutex::new(None)),
-            stats: None,
         }
     }
 
-    /// Copies a set-semantics relation into an indexable batch,
-    /// collecting (or fetching from the catalog-side cache) its
-    /// optimizer sketches along the way.
+    /// Copies a set-semantics relation into an indexable batch: clones
+    /// every tuple and columnarizes it. The executor calls this once per
+    /// relation per database generation, through the relation's slot
+    /// ([`crate::slots`]), and scans clone the resident batch after that.
     pub fn from_relation(rel: &Relation) -> Self {
         instrument::count_materialization();
         let tuples: Vec<Tuple> = rel.iter().cloned().collect();
-        let mut batch = IndexedRelation::new(rel.schema().clone(), tuples);
-        batch.stats = Some(crate::opt::stats_of(rel));
-        batch
-    }
-
-    /// The optimizer sketches collected at materialization; `None` on
-    /// operator-output batches.
-    pub fn table_stats(&self) -> Option<&Arc<crate::opt::TableStats>> {
-        self.stats.as_ref()
+        IndexedRelation::new(rel.schema().clone(), tuples)
     }
 
     pub fn schema(&self) -> &Schema {

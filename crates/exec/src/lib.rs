@@ -24,8 +24,9 @@
 //!   per-candidate re-evaluation, and a closing common-subplan pass
 //!   wraps duplicated sub-plans in `Shared` nodes so they execute once;
 //! * the executor ([`run::execute`]), threading per-execution scan and
-//!   sub-plan caches so each base relation is materialized and indexed
-//!   at most once per query;
+//!   sub-plan caches; each base relation's batch comes from its slot
+//!   ([`slots`]), materialized and indexed once per database generation
+//!   and shared by every query that reads it;
 //! * the **recursive-query subsystem** ([`fixpoint`],
 //!   [`datalog_planner`]): stratified Datalog lowered to hash-join
 //!   plans ([`plan_datalog`]) and iterated **semi-naively** —
@@ -62,6 +63,7 @@ pub mod plan;
 pub mod planner;
 mod pool;
 pub mod run;
+pub mod slots;
 pub mod stats;
 pub mod verify;
 
@@ -74,12 +76,13 @@ pub use fixpoint::{
 pub use indexed::IndexedRelation;
 pub use opt::{
     estimate_fixpoint, estimate_plan, magic_transform, optimizer_enabled, set_optimizer_enabled,
-    stats_cache_len, stats_of, ColSketch, OptConfig, TableStats,
+    stats_cache_len, ColSketch, OptConfig, TableStats,
 };
 pub use parallel::{execute_parallel, resolve_threads, resolve_threads_from};
 pub use plan::{explain, explain_parallel, OutputCol, PhysPlan};
 pub use planner::{plan_ra, plan_ra_with, plan_trc, plan_trc_with};
 pub use run::execute;
+pub use slots::{Slots, Source};
 pub use stats::{
     eval_datalog_analyzed, eval_datalog_analyzed_with, eval_trc_analyzed_with, run_sql_analyzed,
     run_sql_analyzed_with, OpRow, RoundRow, StatsReport, WorkerRow,
@@ -92,7 +95,7 @@ pub use verify::{
 
 use std::collections::HashMap;
 
-use relviz_model::{Database, Relation};
+use relviz_model::Relation;
 
 /// Which engine evaluates a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +128,11 @@ impl Engine {
 
 /// Evaluates an RA expression on the chosen engine, under the
 /// process-wide optimizer default ([`OptConfig::current`]).
-pub fn eval_ra(engine: Engine, expr: &relviz_ra::RaExpr, db: &Database) -> ExecResult<Relation> {
+pub fn eval_ra<'a>(
+    engine: Engine,
+    expr: &relviz_ra::RaExpr,
+    db: impl Into<Source<'a>>,
+) -> ExecResult<Relation> {
     eval_ra_with(engine, expr, db, OptConfig::current())
 }
 
@@ -133,89 +140,93 @@ pub fn eval_ra(engine: Engine, expr: &relviz_ra::RaExpr, db: &Database) -> ExecR
 /// — the entry point concurrent callers (the `relviz serve` daemon)
 /// use, so one request's `--no-opt` never flips a process global that
 /// other in-flight queries read.
-pub fn eval_ra_with(
+pub fn eval_ra_with<'a>(
     engine: Engine,
     expr: &relviz_ra::RaExpr,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<Relation> {
+    let src = db.into();
     match engine {
-        Engine::Reference => Ok(relviz_ra::eval::eval(expr, db)?),
-        Engine::Indexed => execute(&plan_ra_with(expr, db, cfg)?, db),
+        Engine::Reference => Ok(relviz_ra::eval::eval(expr, src.db())?),
+        Engine::Indexed => execute(&plan_ra_with(expr, &src, cfg)?, &src),
         Engine::Parallel(t) => {
-            execute_parallel(&plan_ra_with(expr, db, cfg)?, db, resolve_threads(t))
+            execute_parallel(&plan_ra_with(expr, &src, cfg)?, &src, resolve_threads(t))
         }
     }
 }
 
 /// Evaluates a TRC query on the chosen engine, under the process-wide
 /// optimizer default ([`OptConfig::current`]).
-pub fn eval_trc(
+pub fn eval_trc<'a>(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<Relation> {
     eval_trc_with(engine, q, db, OptConfig::current())
 }
 
 /// [`eval_trc`] with an explicit per-request optimizer configuration
 /// (see [`eval_ra_with`]).
-pub fn eval_trc_with(
+pub fn eval_trc_with<'a>(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<Relation> {
+    let src = db.into();
     match engine {
-        Engine::Reference => Ok(relviz_rc::trc_eval::eval_trc(q, db)?),
-        Engine::Indexed => execute(&plan_trc_with(q, db, cfg)?, db),
+        Engine::Reference => Ok(relviz_rc::trc_eval::eval_trc(q, src.db())?),
+        Engine::Indexed => execute(&plan_trc_with(q, &src, cfg)?, &src),
         Engine::Parallel(t) => {
-            execute_parallel(&plan_trc_with(q, db, cfg)?, db, resolve_threads(t))
+            execute_parallel(&plan_trc_with(q, &src, cfg)?, &src, resolve_threads(t))
         }
     }
 }
 
 /// Runs a SQL query through the pipeline's SQL → TRC front door, then
 /// evaluates the TRC on the chosen engine.
-pub fn run_sql(engine: Engine, sql: &str, db: &Database) -> ExecResult<Relation> {
+pub fn run_sql<'a>(engine: Engine, sql: &str, db: impl Into<Source<'a>>) -> ExecResult<Relation> {
     run_sql_with(engine, sql, db, OptConfig::current())
 }
 
 /// [`run_sql`] with an explicit per-request optimizer configuration
 /// (see [`eval_ra_with`]).
-pub fn run_sql_with(
+pub fn run_sql_with<'a>(
     engine: Engine,
     sql: &str,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<Relation> {
-    let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, db)?;
-    eval_trc_with(engine, &trc, db, cfg)
+    let src = db.into();
+    let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, src.db())?;
+    eval_trc_with(engine, &trc, src, cfg)
 }
 
 /// Evaluates a Datalog program on the chosen engine, returning every
 /// IDB relation.
-pub fn eval_datalog_all(
+pub fn eval_datalog_all<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<HashMap<String, Relation>> {
     eval_datalog_all_with(engine, program, db, OptConfig::current())
 }
 
 /// [`eval_datalog_all`] with an explicit optimizer configuration.
-pub fn eval_datalog_all_with(
+pub fn eval_datalog_all_with<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<HashMap<String, Relation>> {
+    let src = db.into();
     match engine {
-        Engine::Reference => Ok(relviz_datalog::eval::eval_all(program, db)?),
-        Engine::Indexed => eval_fixpoint(&plan_datalog_with(program, db, cfg)?, db),
+        Engine::Reference => Ok(relviz_datalog::eval::eval_all(program, src.db())?),
+        Engine::Indexed => eval_fixpoint(&plan_datalog_with(program, &src, cfg)?, &src),
         Engine::Parallel(t) => parallel::eval_fixpoint_parallel(
-            &plan_datalog_with(program, db, cfg)?,
-            db,
+            &plan_datalog_with(program, &src, cfg)?,
+            &src,
             resolve_threads(t),
         ),
     }
@@ -228,33 +239,34 @@ pub fn eval_datalog_all_with(
 /// query demands is materialized; the reference engine always runs the
 /// program as written, keeping it an independent oracle for the
 /// transformation in every differential test.
-pub fn eval_datalog(
+pub fn eval_datalog<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<Relation> {
     eval_datalog_with(engine, program, db, OptConfig::current())
 }
 
 /// [`eval_datalog`] with an explicit optimizer configuration.
-pub fn eval_datalog_with(
+pub fn eval_datalog_with<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: OptConfig,
 ) -> ExecResult<Relation> {
+    let src = db.into();
     if cfg.magic && !matches!(engine, Engine::Reference) {
         if let Some(transformed) = opt::magic_transform(program) {
             // Defensive fallback: a transformed program the planner
             // refuses (it never should) evaluates untransformed below.
-            if let Ok(mut all) = eval_datalog_all_with(engine, &transformed, db, cfg) {
+            if let Ok(mut all) = eval_datalog_all_with(engine, &transformed, &src, cfg) {
                 if let Some(rel) = all.remove(&transformed.query) {
                     return Ok(rel);
                 }
             }
         }
     }
-    let mut all = eval_datalog_all_with(engine, program, db, cfg)?;
+    let mut all = eval_datalog_all_with(engine, program, &src, cfg)?;
     all.remove(&program.query).ok_or_else(|| {
         ExecError::Eval(format!("query predicate `{}` was never derived", program.query))
     })
@@ -311,7 +323,7 @@ mod tests {
         let db = Arc::new(relviz_model::catalog::sailors_sample());
         let sql = "SELECT S.sname FROM Sailor S, Reserves R, Boat B \
                    WHERE S.sid = R.sid AND R.bid = B.bid AND B.color = 'red'";
-        let baseline = run_sql(Engine::Indexed, sql, &db).unwrap();
+        let baseline = run_sql(Engine::Indexed, sql, &*db).unwrap();
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let db = Arc::clone(&db);
@@ -324,7 +336,7 @@ mod tests {
                     };
                     for _ in 0..16 {
                         let (rel, report) =
-                            run_sql_analyzed_with(Engine::Indexed, sql, &db, cfg).unwrap();
+                            run_sql_analyzed_with(Engine::Indexed, sql, &*db, cfg).unwrap();
                         assert_eq!(
                             report.optimized, optimized,
                             "a request's report must reflect its own config"
@@ -341,7 +353,7 @@ mod tests {
                         let rendered = format!("{rel}");
                         assert!(!rendered.is_empty());
                     }
-                    format!("{}", run_sql_with(Engine::Indexed, sql, &db, cfg).unwrap())
+                    format!("{}", run_sql_with(Engine::Indexed, sql, &*db, cfg).unwrap())
                 })
             })
             .collect();

@@ -4,10 +4,9 @@
 //! Four cooperating pieces:
 //!
 //! 1. **Statistics** ([`TableStats`]): per-column distinct counts and
-//!    min/max sketches, collected once per base relation (keyed by a
-//!    content fingerprint, so repeated queries over an unchanged catalog
-//!    reuse them) and attached to the batch materialized by the scan
-//!    cache.
+//!    min/max sketches, collected on first use into the base relation's
+//!    slot ([`crate::slots`]), so every query over the same database
+//!    generation reuses them.
 //! 2. **Cardinality estimation** ([`estimate_plan`] /
 //!    [`estimate_fixpoint`]): estimated output rows propagated bottom-up
 //!    through every plan node — equality selectivity `1/distinct`,
@@ -42,14 +41,15 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use relviz_datalog::{Atom, Literal, Program, Rule, Term};
-use relviz_model::{Attribute, CmpOp, Database, Relation, Schema, Value};
+use relviz_model::{Attribute, CmpOp, Relation, Schema, Value};
 use relviz_ra::{Operand, Predicate};
 
 use crate::fixpoint::FixpointPlan;
 use crate::plan::{OutputCol, PhysPlan};
+use crate::slots::Source;
 
 // ---------------------------------------------------------------------
 // Optimizer toggle
@@ -107,7 +107,7 @@ impl OptConfig {
 // ---------------------------------------------------------------------
 
 /// Per-column sketch: exact distinct count plus min/max, collected in
-/// one pass when the relation is materialized.
+/// one pass over the stored relation.
 #[derive(Debug, Clone)]
 pub struct ColSketch {
     pub distinct: usize,
@@ -123,113 +123,49 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collects sketches in one pass over the stored tuples.
+    /// Collects sketches in one pass over the stored tuples. Distinct
+    /// values are counted in a hash set, which counts what an ordered
+    /// set would because `Value`'s `Hash` and `Eq` follow its total
+    /// order; min and max keep the first-seen value of their class, as
+    /// an ordered set's first and last entries would. The set keeps the
+    /// default hasher: a served database's values come from clients.
     pub fn collect(rel: &Relation) -> TableStats {
         let arity = rel.schema().arity();
-        let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); arity];
+        let mut seen: Vec<HashSet<&Value>> =
+            (0..arity).map(|_| HashSet::with_capacity(rel.len())).collect();
+        let mut bounds: Vec<Option<(&Value, &Value)>> = vec![None; arity];
         for t in rel.iter() {
-            for (set, v) in sets.iter_mut().zip(t.values()) {
-                set.insert(v);
+            for ((set, bound), v) in seen.iter_mut().zip(&mut bounds).zip(t.values()) {
+                if set.insert(v) {
+                    *bound = match *bound {
+                        None => Some((v, v)),
+                        Some((min, max)) => Some((
+                            if v < min { v } else { min },
+                            if v > max { v } else { max },
+                        )),
+                    };
+                }
             }
         }
-        let cols = sets
-            .into_iter()
-            .map(|set| ColSketch {
+        let cols = seen
+            .iter()
+            .zip(bounds)
+            .map(|(set, bound)| ColSketch {
                 distinct: set.len(),
-                min: set.iter().next().map(|v| (*v).clone()),
-                max: set.iter().next_back().map(|v| (*v).clone()),
+                min: bound.map(|(min, _)| min.clone()),
+                max: bound.map(|(_, max)| max.clone()),
             })
             .collect();
         TableStats { rows: rel.len(), cols }
     }
 }
 
-/// Content fingerprint of a relation: schema names plus **every tuple**.
-///
-/// This used to hash only the row count and a sample of 16 evenly
-/// spaced tuples, so two same-schema, same-rowcount tables differing
-/// only in unsampled rows silently shared one sketch — wrong distinct
-/// counts feed the containment formula and produce bad join orders for
-/// as long as the entry stays cached (a resident server caches
-/// forever). Sketch collection is already a full O(n) pass over the
-/// relation, so hashing the full content costs a constant factor of
-/// work the cache miss was about to do anyway — and a hit amortizes it
-/// across every query of the session.
-fn fingerprint(rel: &Relation) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for a in rel.schema().attrs() {
-        a.name.hash(&mut h);
-    }
-    rel.len().hash(&mut h);
-    for t in rel.iter() {
-        t.values().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// One sketch-cache slot: the stats plus the logical time of last use,
-/// so eviction can drop the least-recently-used entry.
-struct StatsSlot {
-    stats: Arc<TableStats>,
-    last_used: u64,
-}
-
-/// The sketch cache: fingerprint-keyed LRU map plus a monotone tick.
-struct StatsCache {
-    map: HashMap<u64, StatsSlot>,
-    tick: u64,
-}
-
-/// The catalog-side sketch cache, keyed by content fingerprint so
-/// repeated queries over an unchanged relation reuse one collection.
-fn stats_cache() -> &'static Mutex<StatsCache> {
-    static CACHE: OnceLock<Mutex<StatsCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(StatsCache { map: HashMap::new(), tick: 0 }))
-}
-
-/// Bound on cached sketch entries. The cache is process-wide and the
-/// process may be a resident server seeing an unbounded stream of
-/// distinct tables — past the cap the **least-recently-used** entry is
-/// evicted (sketches are cheap to recollect; a working set under the
-/// cap never loses an entry).
-const STATS_CACHE_CAP: usize = 256;
-
-fn lock_stats_cache() -> std::sync::MutexGuard<'static, StatsCache> {
-    match stats_cache().lock() {
-        Ok(c) => c,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Number of live sketch-cache entries — the test hook pinning that
-/// eviction actually bounds the cache.
+/// Always 0: sketches live in each relation's slot
+/// ([`crate::slots`]), not in a process-wide cache. Kept only because
+/// the benchmark links it.
+#[doc(hidden)]
 pub fn stats_cache_len() -> usize {
-    lock_stats_cache().map.len()
-}
-
-/// The sketches for `rel`, from the catalog cache or collected now.
-pub fn stats_of(rel: &Relation) -> Arc<TableStats> {
-    let key = fingerprint(rel);
-    let mut cache = lock_stats_cache();
-    cache.tick += 1;
-    let now = cache.tick;
-    if let Some(slot) = cache.map.get_mut(&key) {
-        slot.last_used = now;
-        return slot.stats.clone();
-    }
-    let stats = Arc::new(TableStats::collect(rel));
-    if cache.map.len() >= STATS_CACHE_CAP {
-        // O(cap) scan — eviction is rare and the cap is small; an
-        // ordered structure would cost on every hit instead.
-        if let Some(&lru) =
-            cache.map.iter().min_by_key(|(_, slot)| slot.last_used).map(|(k, _)| k)
-        {
-            cache.map.remove(&lru);
-        }
-    }
-    cache.map.insert(key, StatsSlot { stats: stats.clone(), last_used: now });
-    stats
+    0
 }
 
 // ---------------------------------------------------------------------
@@ -281,36 +217,16 @@ impl Est {
 
 /// Estimation context: the catalog plus fixpoint row heuristics.
 struct EstCtx<'a> {
-    db: &'a Database,
+    src: &'a Source<'a>,
     /// Estimated total rows per IDB predicate (fixpoint heuristic).
     idb: HashMap<String, f64>,
     /// Estimated per-round delta rows per IDB predicate.
     delta: HashMap<String, f64>,
-    /// Per-walk sketch memo. The global cache is keyed by a full-content
-    /// fingerprint, so every [`stats_of`] call is O(n) even on a hit;
-    /// within one estimation the database is a fixed borrow, so keying
-    /// by relation name is exact and pays that hash once per table.
-    sketches: std::cell::RefCell<HashMap<String, Arc<TableStats>>>,
 }
 
 impl<'a> EstCtx<'a> {
-    fn plain(db: &'a Database) -> EstCtx<'a> {
-        EstCtx {
-            db,
-            idb: HashMap::new(),
-            delta: HashMap::new(),
-            sketches: std::cell::RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// The sketches for stored relation `name`, memoized for this walk.
-    fn stored_stats(&self, name: &str, rel: &Relation) -> Arc<TableStats> {
-        if let Some(hit) = self.sketches.borrow().get(name) {
-            return hit.clone();
-        }
-        let stats = stats_of(rel);
-        self.sketches.borrow_mut().insert(name.to_string(), stats.clone());
-        stats
+    fn plain(src: &'a Source<'a>) -> EstCtx<'a> {
+        EstCtx { src, idb: HashMap::new(), delta: HashMap::new() }
     }
 }
 
@@ -479,9 +395,9 @@ fn walk(plan: &PhysPlan, ctx: &EstCtx<'_>, out: &mut Vec<f64>) -> Est {
     let slot = out.len();
     out.push(0.0);
     let est = match plan {
-        PhysPlan::Scan { rel, schema } => match ctx.db.relation(rel) {
-            Ok(stored) => scan_est(&ctx.stored_stats(rel, stored)),
-            Err(_) => Est::opaque(DEFAULT_IDB_ROWS, schema.arity()),
+        PhysPlan::Scan { rel, schema } => match ctx.src.stats(rel) {
+            Some(stats) => scan_est(stats),
+            None => Est::opaque(DEFAULT_IDB_ROWS, schema.arity()),
         },
         PhysPlan::ScanIdb { rel, schema } => {
             let rows = ctx.idb.get(rel).copied().unwrap_or(DEFAULT_IDB_ROWS);
@@ -589,8 +505,9 @@ fn quiet_est(plan: &PhysPlan, ctx: &EstCtx<'_>) -> Est {
 
 /// Per-node `est_rows` for a plain plan, in [`crate::stats::QueryStats`]
 /// registration (pre-)order.
-pub fn estimate_plan(plan: &PhysPlan, db: &Database) -> Vec<f64> {
-    let ctx = EstCtx::plain(db);
+pub fn estimate_plan<'a>(plan: &PhysPlan, db: impl Into<Source<'a>>) -> Vec<f64> {
+    let src = db.into();
+    let ctx = EstCtx::plain(&src);
     let mut out = Vec::with_capacity(plan.node_count());
     walk(plan, &ctx, &mut out);
     out
@@ -604,8 +521,9 @@ pub fn estimate_plan(plan: &PhysPlan, db: &Database) -> Vec<f64> {
 /// predicate; a recursive stratum is then re-estimated once with those
 /// seeds installed (a damped second round standing in for the fixpoint).
 /// Deltas are sized at the first-round estimate.
-pub fn estimate_fixpoint(plan: &FixpointPlan, db: &Database) -> Vec<f64> {
-    let mut ctx = EstCtx::plain(db);
+pub fn estimate_fixpoint<'a>(plan: &FixpointPlan, db: impl Into<Source<'a>>) -> Vec<f64> {
+    let src = db.into();
+    let mut ctx = EstCtx::plain(&src);
     for stratum in &plan.strata {
         let mut first: HashMap<String, f64> = HashMap::new();
         for rule in &stratum.rules {
@@ -957,8 +875,8 @@ fn rebuild(chain: &Chain, order: &[usize], original_schema: &Schema) -> Option<P
 /// Cost-based reordering of every residual-free hash-join chain in the
 /// plan. Results are bit-identical to the input plan's; only join order,
 /// build sides, and intermediate schemas change.
-pub(crate) fn reorder_plan(plan: PhysPlan, db: &Database) -> PhysPlan {
-    let ctx = EstCtx::plain(db);
+pub(crate) fn reorder_plan(plan: PhysPlan, src: &Source<'_>) -> PhysPlan {
+    let ctx = EstCtx::plain(src);
     rewrite(plan, &ctx)
 }
 
@@ -1072,7 +990,7 @@ struct AtomEst {
     build: f64,
 }
 
-fn atom_est(atom: &Atom, is_delta: bool, is_idb: bool, db: &Database) -> AtomEst {
+fn atom_est(atom: &Atom, is_delta: bool, is_idb: bool, src: &Source<'_>) -> AtomEst {
     if is_delta {
         let var_d = atom.vars().map(|v| (v.to_string(), 1.0)).collect();
         return AtomEst { rows: 1.0, var_d, build: 1.0 };
@@ -1081,9 +999,9 @@ fn atom_est(atom: &Atom, is_delta: bool, is_idb: bool, db: &Database) -> AtomEst
         let var_d = atom.vars().map(|v| (v.to_string(), DEFAULT_IDB_ROWS)).collect();
         return AtomEst { rows: DEFAULT_IDB_ROWS, var_d, build: DEFAULT_IDB_ROWS };
     }
-    let stats = match db.relation(&atom.rel) {
-        Ok(rel) => stats_of(rel),
-        Err(_) => {
+    let stats = match src.stats(&atom.rel) {
+        Some(stats) => stats,
+        None => {
             let var_d = atom.vars().map(|v| (v.to_string(), DEFAULT_IDB_ROWS)).collect();
             return AtomEst { rows: DEFAULT_IDB_ROWS, var_d, build: 0.0 };
         }
@@ -1149,7 +1067,7 @@ fn body_cost(order: &[usize], ests: &[AtomEst]) -> f64 {
 pub(crate) fn order_atoms(
     atoms: &[&Atom],
     delta_occ: Option<usize>,
-    db: &Database,
+    src: &Source<'_>,
     idb: &HashMap<String, usize>,
 ) -> Vec<usize> {
     let n = atoms.len();
@@ -1160,7 +1078,7 @@ pub(crate) fn order_atoms(
     let ests: Vec<AtomEst> = atoms
         .iter()
         .enumerate()
-        .map(|(i, a)| atom_est(a, delta_occ == Some(i), idb.contains_key(&a.rel), db))
+        .map(|(i, a)| atom_est(a, delta_occ == Some(i), idb.contains_key(&a.rel), src))
         .collect();
     // Greedy: start at the smallest atom, then repeatedly take the
     // connected atom minimizing (build + intermediate) rows.
@@ -1415,7 +1333,8 @@ pub fn magic_transform(program: &Program) -> Option<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relviz_model::{DataType, Tuple};
+    use crate::slots::Slots;
+    use relviz_model::{DataType, Database, Tuple};
 
     fn int_relation(attrs: &[(&str, DataType)], rows: &[Vec<i64>]) -> Relation {
         let schema = Schema::of(attrs);
@@ -1439,7 +1358,7 @@ mod tests {
             &[("a", DataType::Int), ("b", DataType::Int)],
             &[vec![1, 10], vec![2, 10], vec![2, 30]],
         );
-        let stats = stats_of(db.relation("t").expect("t"));
+        let stats = TableStats::collect(db.relation("t").expect("t"));
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.cols[0].distinct, 2);
         assert_eq!(stats.cols[1].distinct, 2);
@@ -1447,60 +1366,47 @@ mod tests {
         assert_eq!(stats.cols[1].max, Some(Value::Int(30)));
     }
 
+    /// The hash-set pass counts and bounds exactly what an ordered set
+    /// under `Value`'s total order does, representatives included, on a
+    /// column mixing the cases where that order and IEEE equality part:
+    /// `Int 1 = Float 1.0`, `-0.0 ≠ 0.0`, `NaN = NaN`, and `NULL`.
     #[test]
-    fn stats_cache_reuses_by_content() {
-        let db = db_with("u", &[("a", DataType::Int)], &[vec![1], vec![2]]);
-        let rel = db.relation("u").expect("u");
-        let first = stats_of(rel);
-        let second = stats_of(rel);
-        assert!(Arc::ptr_eq(&first, &second));
-    }
-
-    /// Regression (resident-server leak): the process-wide sketch cache
-    /// used to be an unbounded map — one entry per distinct table,
-    /// forever. It is now an LRU bounded at [`STATS_CACHE_CAP`]:
-    /// flooding it with distinct tables never grows it past the cap, a
-    /// kept-warm entry survives the flood, and a cold one is evicted.
-    #[test]
-    fn stats_cache_is_bounded_and_evicts_lru() {
-        let attrs = [("a", DataType::Int), ("b", DataType::Int)];
-        let warm = int_relation(&attrs, &[vec![-7, -70], vec![-8, -80]]);
-        let cold = int_relation(&attrs, &[vec![-9, -90], vec![-10, -100]]);
-        let warm_stats = stats_of(&warm);
-        let cold_stats = stats_of(&cold);
-        // Flood with more distinct tables than the cache can hold,
-        // re-touching the warm entry often enough that it never becomes
-        // the least-recently-used slot.
-        for i in 0..(STATS_CACHE_CAP as i64 + 100) {
-            let filler = int_relation(&attrs, &[vec![i, 1_000_000 + i]]);
-            let _ = stats_of(&filler);
-            if i % 32 == 0 {
-                let _ = stats_of(&warm);
+    fn sketches_agree_with_an_ordered_set() {
+        let mixed = vec![
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NAN),
+            Value::str("b"),
+            Value::str("a"),
+            Value::Int(-3),
+        ];
+        // Equal bounds in two spellings: the first-seen one is kept.
+        let numeric = vec![Value::Float(1.0), Value::Int(1), Value::Int(2), Value::Float(2.0)];
+        for column in [mixed, numeric] {
+            let schema = Schema::of(&[("i", DataType::Int), ("v", DataType::Any)]);
+            let tuples =
+                (0..).zip(&column).map(|(i, v)| Tuple::new(vec![Value::Int(i), v.clone()]));
+            let rel = Relation::from_tuples_unchecked(schema, tuples.collect());
+            let mut ordered: BTreeSet<&Value> = BTreeSet::new();
+            for t in rel.iter() {
+                ordered.insert(&t.values()[1]);
             }
+            let col = &TableStats::collect(&rel).cols[1];
+            assert_eq!(col.distinct, ordered.len());
+            assert_eq!(format!("{:?}", col.min), format!("{:?}", ordered.first()));
+            assert_eq!(format!("{:?}", col.max), format!("{:?}", ordered.last()));
         }
-        assert!(
-            stats_cache_len() <= STATS_CACHE_CAP,
-            "cache must stay bounded, got {}",
-            stats_cache_len()
-        );
-        assert!(
-            Arc::ptr_eq(&warm_stats, &stats_of(&warm)),
-            "the kept-warm entry must survive the flood"
-        );
-        assert!(
-            !Arc::ptr_eq(&cold_stats, &stats_of(&cold)),
-            "the untouched entry must have been evicted and recollected"
-        );
     }
 
-    /// Regression: `fingerprint` used to hash schema names, row count,
-    /// and a sample of 16 evenly spaced tuples, so two same-schema,
-    /// same-rowcount tables agreeing on the sampled rows collided and
-    /// silently shared one sketch (wrong cardinality estimates → bad
-    /// join orders). These two relations — identical at every
-    /// even-sorted position the old scheme sampled, different at every
-    /// odd one — collided before; they must fingerprint apart and get
-    /// distinct sketches now.
+    /// Regression: sketches used to live in a process-wide cache keyed
+    /// by a content fingerprint, and a fingerprint of the row count plus
+    /// 16 sampled tuples let two same-schema, same-rowcount tables share
+    /// one sketch (wrong distinct counts, bad join orders). Sketches now
+    /// live in each database's slots, so two databases holding such
+    /// tables under the same name — identical at every even position,
+    /// different at every odd one — each get their own.
     #[test]
     fn same_schema_same_rowcount_tables_do_not_collide() {
         let attrs = [("a", DataType::Int), ("b", DataType::Int)];
@@ -1508,21 +1414,20 @@ mod tests {
         let rows_b: Vec<Vec<i64>> = (0..32)
             .map(|i| vec![i, if i % 2 == 0 { i } else { i + 1000 }])
             .collect();
-        let a = int_relation(&attrs, &rows_a);
-        let b = int_relation(&attrs, &rows_b);
-        // Same schema, same row count, same tuples at the 16 positions
-        // the old sampler read (sorted positions 0, 2, …, 30).
-        assert_eq!(a.len(), b.len());
-        assert_ne!(fingerprint(&a), fingerprint(&b), "full-content hash must differ");
-        let sa = stats_of(&a);
-        let sb = stats_of(&b);
-        assert!(!Arc::ptr_eq(&sa, &sb), "distinct tables must not share a sketch");
+        let a = db_with("t", &attrs, &rows_a);
+        let b = db_with("t", &attrs, &rows_b);
+        let (slots_a, slots_b) = (Slots::new(&a), Slots::new(&b));
+        let (src_a, src_b) = (Source::new(&a, &slots_a), Source::new(&b, &slots_b));
+        let sa = src_a.stats("t").expect("a's sketch");
+        let sb = src_b.stats("t").expect("b's sketch");
+        assert_eq!(sa.rows, sb.rows);
         assert_eq!(sa.cols[1].max, Some(Value::Int(31)));
         assert_eq!(
             sb.cols[1].max,
             Some(Value::Int(1031)),
             "b's sketch must reflect b's own content, not a's"
         );
+        assert_eq!(sb.cols[1].distinct, 32);
     }
 
     #[test]
@@ -1577,7 +1482,7 @@ mod tests {
         let a1 = Atom::new("big", vec![Term::var("A"), Term::var("B")]);
         let a2 = Atom::new("big", vec![Term::var("B"), Term::var("C")]);
         let a3 = Atom::new("tiny", vec![Term::var("C"), Term::var("D")]);
-        let order = order_atoms(&[&a1, &a2, &a3], None, &db, &HashMap::new());
+        let order = order_atoms(&[&a1, &a2, &a3], None, &Source::from(&db), &HashMap::new());
         assert_eq!(order.first(), Some(&2), "tiny atom leads: {order:?}");
     }
 

@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use relviz_model::{Database, Relation};
+use relviz_model::Relation;
 
 use crate::error::ExecResult;
 use crate::fixpoint::FixpointPlan;
@@ -49,6 +49,7 @@ use crate::indexed::{IndexedRelation, PartitionedIndex};
 use crate::plan::PhysPlan;
 use crate::pool;
 use crate::run::{run_with, ExecContext};
+use crate::slots::Source;
 
 /// Rows below which an operator stays on its serial path: chunking a
 /// small batch costs more in thread dispatch than the scan saves.
@@ -126,22 +127,27 @@ fn warn_bad_env(value: &str) {
 /// sub-plans prewarm concurrently, operators take their partitioned
 /// paths past [`PAR_MIN_ROWS`], and the final sort splits across
 /// workers. `threads <= 1` degenerates to the serial operator path.
-pub fn execute_parallel(plan: &PhysPlan, db: &Database, threads: usize) -> ExecResult<Relation> {
+pub fn execute_parallel<'a>(
+    plan: &PhysPlan,
+    db: impl Into<Source<'a>>,
+    threads: usize,
+) -> ExecResult<Relation> {
+    let src = db.into();
     let threads = threads.max(1);
     let ctx = ExecContext::with_threads(threads);
-    prewarm_shared(plan, db, &ctx, threads)?;
-    let batch = run_with(plan, db, None, &ctx)?;
+    prewarm_shared(plan, &src, &ctx, threads)?;
+    let batch = run_with(plan, &src, None, &ctx)?;
     Ok(into_relation_par(batch, threads, ctx.pool_stats()))
 }
 
 /// Evaluates a recursive plan on the parallel runtime (independent
 /// strata per DAG level, parallel rules per round, partitioned joins).
-pub fn eval_fixpoint_parallel(
+pub fn eval_fixpoint_parallel<'a>(
     plan: &FixpointPlan,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     threads: usize,
 ) -> ExecResult<HashMap<String, Relation>> {
-    crate::fixpoint::eval_fixpoint_with(plan, db, threads.max(1))
+    crate::fixpoint::eval_fixpoint_with(plan, &db.into(), threads.max(1))
 }
 
 /// Runs every group of mutually independent `Shared` sub-plans
@@ -154,7 +160,7 @@ pub fn eval_fixpoint_parallel(
 #[allow(clippy::indexing_slicing)]
 pub(crate) fn prewarm_shared(
     plan: &PhysPlan,
-    db: &Database,
+    src: &Source<'_>,
     ctx: &ExecContext,
     threads: usize,
 ) -> ExecResult<()> {
@@ -180,7 +186,7 @@ pub(crate) fn prewarm_shared(
         };
         let results = pool::scatter(threads, level.len(), ctx.pool_stats(), &|i| {
             let (id, input) = level[i];
-            run_with(input, db, Some(&budget), ctx).map(|batch| (id, batch))
+            run_with(input, src, Some(&budget), ctx).map(|batch| (id, batch))
         });
         for r in results {
             let (id, batch) = r?;

@@ -28,6 +28,7 @@ use relviz_rc::trc_check::check_query;
 
 use crate::error::{ExecError, ExecResult};
 use crate::plan::{OutputCol, PhysPlan};
+use crate::slots::Source;
 
 // ---------------------------------------------------------------------------
 // Common sub-plan sharing (CSE)
@@ -298,22 +299,24 @@ pub(crate) fn shared_levels(plan: &PhysPlan) -> Vec<Vec<(u32, &PhysPlan)>> {
 
 /// Lowers a Relational Algebra expression (type-checking it first),
 /// under the process-wide optimizer setting.
-pub fn plan_ra(expr: &RaExpr, db: &Database) -> ExecResult<PhysPlan> {
+pub fn plan_ra<'a>(expr: &RaExpr, db: impl Into<Source<'a>>) -> ExecResult<PhysPlan> {
     plan_ra_with(expr, db, crate::opt::OptConfig::current())
 }
 
 /// [`plan_ra`] with an explicit optimizer configuration: `cfg.reorder`
 /// runs the cost-based join reordering pass ([`crate::opt`]) between
 /// lowering and the common-subplan pass.
-pub fn plan_ra_with(
+pub fn plan_ra_with<'a>(
     expr: &RaExpr,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<PhysPlan> {
+    let src = db.into();
+    let db = src.db();
     schema_of(expr, db)?; // surface type errors with the RA crate's messages
     let mut plan = lower_ra(expr, db)?;
     if cfg.reorder {
-        plan = crate::opt::reorder_plan(plan, db);
+        plan = crate::opt::reorder_plan(plan, &src);
     }
     let plan = share_common_subplans(plan);
     crate::verify::debug_verify_plan(&plan, db);
@@ -711,17 +714,19 @@ fn mangle(var: &str, attr: &str) -> String {
 /// Lowers a (checked) TRC query under the process-wide optimizer
 /// setting. `∀` is eliminated as `¬∃¬` first; `∃`-nests become
 /// semi-joins, `¬∃`-nests anti-joins.
-pub fn plan_trc(q: &TrcQuery, db: &Database) -> ExecResult<PhysPlan> {
+pub fn plan_trc<'a>(q: &TrcQuery, db: impl Into<Source<'a>>) -> ExecResult<PhysPlan> {
     plan_trc_with(q, db, crate::opt::OptConfig::current())
 }
 
 /// [`plan_trc`] with an explicit optimizer configuration (see
 /// [`plan_ra_with`]).
-pub fn plan_trc_with(
+pub fn plan_trc_with<'a>(
     q: &TrcQuery,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<PhysPlan> {
+    let src = db.into();
+    let db = src.db();
     let head_types = check_query(q, db)?;
     let q = q.eliminate_forall();
     let mut branch_plans: Vec<PhysPlan> = Vec::with_capacity(q.branches.len());
@@ -754,7 +759,7 @@ pub fn plan_trc_with(
         .into_iter()
         .reduce(union)
         .map(|p| if many { dedup(p) } else { p })
-        .map(|p| if cfg.reorder { crate::opt::reorder_plan(p, db) } else { p })
+        .map(|p| if cfg.reorder { crate::opt::reorder_plan(p, &src) } else { p })
         .map(share_common_subplans)
         .ok_or_else(|| ExecError::Plan("query has no branches".into()))?;
     crate::verify::debug_verify_plan(&plan, db);

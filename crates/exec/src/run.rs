@@ -13,10 +13,13 @@
 //!
 //! Every execution carries an [`ExecContext`]:
 //!
-//! * the **scan cache** materializes and indexes each EDB relation at
-//!   most once per query — all `Scan` leaves of the same relation (and,
-//!   through [`crate::fixpoint`], all rounds of a fixpoint) share one
-//!   batch, handing out metadata-only views with the leaf's schema;
+//! * the **scan cache** resolves each EDB relation at most once per
+//!   query — all `Scan` leaves of the same relation (and, through
+//!   [`crate::fixpoint`], all rounds of a fixpoint) share one batch,
+//!   handing out metadata-only views with the leaf's schema. A miss
+//!   clones the relation's resident batch from its slot
+//!   ([`crate::slots`]), which materializes it once per database
+//!   generation;
 //! * the **sub-plan cache** resolves [`PhysPlan::Shared`] nodes: the
 //!   first occurrence runs the sub-plan and caches the batch by id,
 //!   every later occurrence gets a storage-shared clone.
@@ -29,13 +32,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use relviz_model::{CmpOp, Database, Relation, Schema, Value, ValueRef};
+use relviz_model::{CmpOp, Relation, Schema, Value, ValueRef};
 use relviz_ra::{Operand, Predicate};
 
 use crate::column::{row_id, Bitmap, Column, ColumnData, ColumnStore, RowId};
 use crate::error::{ExecError, ExecResult};
 use crate::indexed::{row_hash_at, FxBuild, IndexedRelation, JoinKey};
 use crate::plan::{OutputCol, PhysPlan};
+use crate::slots::Source;
 
 /// The scan state of a running fixpoint: per-predicate accumulated IDB
 /// batches and the previous round's deltas, resolved by `ScanIdb` /
@@ -125,13 +129,13 @@ impl ExecContext {
 }
 
 /// Executes a plan, returning a set-semantics [`Relation`].
-pub fn execute(plan: &PhysPlan, db: &Database) -> ExecResult<Relation> {
+pub fn execute<'a>(plan: &PhysPlan, db: impl Into<Source<'a>>) -> ExecResult<Relation> {
     run(plan, db).map(IndexedRelation::into_relation)
 }
 
 /// Executes a plan, returning the raw (possibly bag-semantics) batch.
-pub fn run(plan: &PhysPlan, db: &Database) -> ExecResult<IndexedRelation> {
-    run_with(plan, db, None, &ExecContext::new())
+pub fn run<'a>(plan: &PhysPlan, db: impl Into<Source<'a>>) -> ExecResult<IndexedRelation> {
+    run_with(plan, &db.into(), None, &ExecContext::new())
 }
 
 /// Every column index in `cols` must be in bounds for `arity` — the
@@ -155,15 +159,15 @@ fn check_cols(cols: &[usize], arity: usize, what: &str) -> ExecResult<()> {
 /// overhead at this layer.
 pub(crate) fn run_with(
     plan: &PhysPlan,
-    db: &Database,
+    src: &Source<'_>,
     state: Option<&FixpointState<'_>>,
     ctx: &ExecContext,
 ) -> ExecResult<IndexedRelation> {
     match ctx.node_stats(plan) {
-        None => run_node(plan, db, state, ctx),
+        None => run_node(plan, src, state, ctx),
         Some(node) => {
             let t0 = std::time::Instant::now();
-            let result = run_node(plan, db, state, ctx);
+            let result = run_node(plan, src, state, ctx);
             if let Ok(batch) = &result {
                 node.record_batch(
                     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -178,12 +182,12 @@ pub(crate) fn run_with(
 /// One operator's evaluation (the `run_with` body, unwrapped).
 fn run_node(
     plan: &PhysPlan,
-    db: &Database,
+    src: &Source<'_>,
     state: Option<&FixpointState<'_>>,
     ctx: &ExecContext,
 ) -> ExecResult<IndexedRelation> {
     // Shorthand: recurse with the same state and caches threaded through.
-    let run = |p: &PhysPlan| run_with(p, db, state, ctx);
+    let run = |p: &PhysPlan| run_with(p, src, state, ctx);
     // The operator-parallelism width: a fixpoint rule's budget share,
     // or the engine's full worker count for plain plans.
     let width = match state {
@@ -192,22 +196,18 @@ fn run_node(
     };
     match plan {
         PhysPlan::Scan { rel, schema } => {
-            // The lock is held across the materialization so concurrent
-            // workers missing the same relation don't materialize it
-            // twice — each EDB relation becomes exactly one batch per
-            // execution on every engine. The cost is that two workers
-            // first-touching *different* relations serialize too; that
-            // happens at most once per relation per execution, which is
-            // cheaper than the duplicated materializations (and
-            // nondeterministic counters) the racy alternative allows.
+            // The lock is held across the slot lookup so concurrent
+            // workers missing the same relation record one miss between
+            // them — the hit/miss counts are deterministic on every
+            // engine. A first touch of the generation materializes under
+            // the lock; two workers first-touching *different* relations
+            // serialize on it at most once per relation per execution.
             let (base, hit) = {
                 let mut scans = ctx.scans.lock();
                 match scans.get(rel) {
                     Some(batch) => (batch.clone(), true),
                     None => {
-                        let stored =
-                            db.relation(rel).map_err(|e| ExecError::Eval(e.to_string()))?;
-                        let batch = IndexedRelation::from_relation(stored);
+                        let batch = src.batch(rel)?;
                         scans.insert(rel.clone(), batch.clone());
                         (batch, false)
                     }

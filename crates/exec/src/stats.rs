@@ -40,11 +40,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use relviz_model::{Database, Relation};
+use relviz_model::Relation;
 
 use crate::error::{ExecError, ExecResult};
 use crate::fixpoint::FixpointPlan;
 use crate::plan::PhysPlan;
+use crate::slots::Source;
 use crate::Engine;
 
 // ---------------------------------------------------------------------------
@@ -834,10 +835,10 @@ impl StatsReport {
 /// result and the stats report. Requires a physical engine — the
 /// reference evaluator has no plan to instrument. Plans under the
 /// process-wide optimizer default ([`crate::opt::OptConfig::current`]).
-pub fn run_sql_analyzed(
+pub fn run_sql_analyzed<'a>(
     engine: Engine,
     sql: &str,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<(Relation, StatsReport)> {
     run_sql_analyzed_with(engine, sql, db, crate::opt::OptConfig::current())
 }
@@ -845,35 +846,37 @@ pub fn run_sql_analyzed(
 /// [`run_sql_analyzed`] with an **explicit per-request optimizer
 /// configuration** — what a concurrent server threads through, so one
 /// request's `--no-opt` can't flip any other in-flight analysis.
-pub fn run_sql_analyzed_with(
+pub fn run_sql_analyzed_with<'a>(
     engine: Engine,
     sql: &str,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
-    let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, db)?;
-    let plan = crate::planner::plan_trc_with(&trc, db, cfg)?;
-    analyze_plan(engine, &plan, db, cfg)
+    let src = db.into();
+    let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, src.db())?;
+    let plan = crate::planner::plan_trc_with(&trc, &src, cfg)?;
+    analyze_plan(engine, &plan, &src, cfg)
 }
 
 /// Evaluates a TRC query with instrumentation enabled under an
 /// explicit per-request optimizer configuration — the server's analyze
 /// path for queries that arrive as TRC rather than SQL.
-pub fn eval_trc_analyzed_with(
+pub fn eval_trc_analyzed_with<'a>(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
-    let plan = crate::planner::plan_trc_with(q, db, cfg)?;
-    analyze_plan(engine, &plan, db, cfg)
+    let src = db.into();
+    let plan = crate::planner::plan_trc_with(q, &src, cfg)?;
+    analyze_plan(engine, &plan, &src, cfg)
 }
 
 /// Executes a plain physical plan with instrumentation enabled.
 fn analyze_plan(
     engine: Engine,
     plan: &PhysPlan,
-    db: &Database,
+    src: &Source<'_>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     match engine {
@@ -885,10 +888,10 @@ fn analyze_plan(
         Engine::Indexed => {
             let mut stats = QueryStats::for_plan(plan, "exec", 1);
             stats.set_config(cfg);
-            stats.set_estimates(crate::opt::estimate_plan(plan, db));
+            stats.set_estimates(crate::opt::estimate_plan(plan, src));
             let stats = Arc::new(stats);
             let ctx = crate::run::ExecContext::new().with_stats(Arc::clone(&stats));
-            let batch = crate::run::run_with(plan, db, None, &ctx)?;
+            let batch = crate::run::run_with(plan, src, None, &ctx)?;
             let rel = batch.into_relation();
             Ok((rel, stats.report(plan)))
         }
@@ -896,12 +899,12 @@ fn analyze_plan(
             let threads = crate::parallel::resolve_threads(t).max(1);
             let mut stats = QueryStats::for_plan(plan, "parallel", threads);
             stats.set_config(cfg);
-            stats.set_estimates(crate::opt::estimate_plan(plan, db));
+            stats.set_estimates(crate::opt::estimate_plan(plan, src));
             let stats = Arc::new(stats);
             let ctx = crate::run::ExecContext::with_threads(threads)
                 .with_stats(Arc::clone(&stats));
-            crate::parallel::prewarm_shared(plan, db, &ctx, threads)?;
-            let batch = crate::run::run_with(plan, db, None, &ctx)?;
+            crate::parallel::prewarm_shared(plan, src, &ctx, threads)?;
+            let batch = crate::run::run_with(plan, src, None, &ctx)?;
             let rel = crate::parallel::into_relation_par(batch, threads, ctx.pool_stats());
             Ok((rel, stats.report(plan)))
         }
@@ -912,20 +915,20 @@ fn analyze_plan(
 /// the answer predicate's relation and the stats report (per-operator
 /// actuals for every rule plan, plus the per-round delta table). Plans
 /// under the process-wide optimizer default.
-pub fn eval_datalog_analyzed(
+pub fn eval_datalog_analyzed<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
 ) -> ExecResult<(Relation, StatsReport)> {
     eval_datalog_analyzed_with(engine, program, db, crate::opt::OptConfig::current())
 }
 
 /// [`eval_datalog_analyzed`] with an explicit per-request optimizer
 /// configuration (see [`run_sql_analyzed_with`]).
-pub fn eval_datalog_analyzed_with(
+pub fn eval_datalog_analyzed_with<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
-    db: &Database,
+    db: impl Into<Source<'a>>,
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     let (name, threads): (&'static str, usize) = match engine {
@@ -944,13 +947,14 @@ pub fn eval_datalog_analyzed_with(
     // report shows what actually executed.
     let transformed = if cfg.magic { crate::opt::magic_transform(program) } else { None };
     let prog = transformed.as_ref().unwrap_or(program);
-    let plan = crate::plan_datalog_with(prog, db, cfg)?;
+    let src = db.into();
+    let plan = crate::plan_datalog_with(prog, &src, cfg)?;
     let mut stats = QueryStats::for_fixpoint(&plan, name, threads);
     stats.set_config(cfg);
-    stats.set_estimates(crate::opt::estimate_fixpoint(&plan, db));
+    stats.set_estimates(crate::opt::estimate_fixpoint(&plan, &src));
     let stats = Arc::new(stats);
     let mut all =
-        crate::fixpoint::eval_fixpoint_stats(&plan, db, threads, Some(Arc::clone(&stats)))?;
+        crate::fixpoint::eval_fixpoint_stats(&plan, &src, threads, Some(Arc::clone(&stats)))?;
     let rel = all.remove(&prog.query).ok_or_else(|| {
         ExecError::Eval(format!("query predicate `{}` was never derived", prog.query))
     })?;

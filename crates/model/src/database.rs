@@ -63,6 +63,30 @@ impl Database {
         Ok(&self.relations[&canonical])
     }
 
+    /// The stored (canonical) spelling of `name`, resolved the way
+    /// [`relation`](Self::relation) resolves it: exact match first, then
+    /// case-insensitive.
+    pub fn canonical_name(&self, name: &str) -> Option<&str> {
+        if let Some((stored, _)) = self.relations.get_key_value(name) {
+            return Some(stored);
+        }
+        self.relations
+            .keys()
+            .find(|k| k.eq_ignore_ascii_case(name))
+            .map(String::as_str)
+    }
+
+    /// Mutable access to relation `name`, resolved like
+    /// [`relation`](Self::relation).
+    pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
+        let canonical = self
+            .resolve_name(name)
+            .ok_or_else(|| ModelError::UnknownRelation(name.to_string()))?;
+        self.relations
+            .get_mut(&canonical)
+            .ok_or(ModelError::UnknownRelation(canonical))
+    }
+
     pub fn schema(&self, name: &str) -> Result<&Schema> {
         Ok(self.relation(name)?.schema())
     }
@@ -130,6 +154,19 @@ mod tests {
         let r = Relation::empty(Schema::of(&[("a", DataType::Int)]));
         assert!(db.add("r", r.clone()).is_err());
         assert!(db.add("R", r).is_err());
+    }
+
+    #[test]
+    fn canonical_name_and_relation_mut_resolve_case_insensitively() {
+        let mut db = db();
+        assert_eq!(db.canonical_name("r"), Some("R"));
+        assert_eq!(db.canonical_name("S"), None);
+        db.relation_mut("r")
+            .unwrap()
+            .insert(crate::Tuple::of((3,)))
+            .unwrap();
+        assert_eq!(db.relation("R").unwrap().len(), 3);
+        assert!(db.relation_mut("S").is_err());
     }
 
     #[test]

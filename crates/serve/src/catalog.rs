@@ -1,13 +1,19 @@
 //! The server's **catalog**: named databases held behind `Arc`s with a
 //! monotone per-database generation counter.
 //!
-//! Every query takes a [`Snapshot`] — an `Arc` clone of the database
-//! plus the generation it was taken at — so execution never holds the
-//! catalog lock and never observes a half-applied mutation: loads,
-//! inserts and drops swap the `Arc` under a write lock while in-flight
-//! queries keep reading the snapshot they started with (the zero-copy
-//! batch architecture makes the per-query scan materialization the only
-//! copy that ever happens).
+//! Every query takes a [`Snapshot`] — an `Arc` clone of the database,
+//! the generation it was taken at, and that generation's
+//! [`Slots`] — so execution never holds the catalog lock and never
+//! observes a half-applied mutation: loads, inserts and drops swap the
+//! snapshot under a write lock while in-flight queries keep reading the
+//! one they started with.
+//!
+//! The slots hold each relation's columnar batch and optimizer
+//! sketches, built on the first read that needs them and shared by
+//! every later request on the generation. A `load` starts with empty
+//! slots; an `insert` gives the relations it touches fresh slots and
+//! shares the rest with the previous generation. Neither materializes
+//! anything.
 //!
 //! Generations are **monotone per name for the life of the process**,
 //! across drops and re-loads: the prepared-plan cache keys on
@@ -18,13 +24,24 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use relviz_model::{Database, Relation};
+use relviz_exec::{Slots, Source};
+use relviz_model::Database;
 
 /// A point-in-time view of one named database.
 #[derive(Clone)]
 pub struct Snapshot {
     pub db: Arc<Database>,
     pub generation: u64,
+    /// The resident batches and sketches of `db`'s relations.
+    slots: Arc<Slots>,
+}
+
+impl Snapshot {
+    /// What planners and executors read: the database with this
+    /// generation's slots.
+    pub fn source(&self) -> Source<'_> {
+        Source::new(&self.db, &self.slots)
+    }
 }
 
 /// One catalog row in a listing.
@@ -58,18 +75,21 @@ impl Catalog {
     /// Creates or replaces a database wholesale, bumping its
     /// generation. Returns the new generation.
     pub fn load(&self, name: &str, db: Database) -> u64 {
+        let slots = Arc::new(Slots::new(&db));
         let mut state = self.state.write();
         let generation = Self::next_gen(&mut state, name);
         state
             .dbs
-            .insert(name.to_string(), Snapshot { db: Arc::new(db), generation });
+            .insert(name.to_string(), Snapshot { db: Arc::new(db), generation, slots });
         generation
     }
 
     /// Unions the relations of `fragment` into `name`'s database:
     /// existing relations (schemas must agree) receive the new tuples,
     /// new relations are added. Copy-on-write — in-flight snapshots are
-    /// untouched. Returns the new generation.
+    /// untouched. The relations the fragment names (matched by
+    /// canonical name, however the fragment spells them) get fresh
+    /// slots; the others keep theirs. Returns the new generation.
     pub fn insert(&self, name: &str, fragment: &Database) -> Result<u64, String> {
         let mut state = self.state.write();
         let current = state
@@ -77,9 +97,10 @@ impl Catalog {
             .get(name)
             .ok_or_else(|| format!("unknown database `{name}`"))?;
         let mut next: Database = (*current.db).clone();
+        let mut touched = Vec::new();
         for rel_name in fragment.names() {
             let incoming = fragment.relation(rel_name).map_err(|e| e.to_string())?;
-            match next.relation(rel_name) {
+            match next.relation_mut(rel_name) {
                 Ok(existing) => {
                     if existing.schema() != incoming.schema() {
                         return Err(format!(
@@ -87,19 +108,19 @@ impl Catalog {
                             existing.schema().attrs().iter().map(|a| &a.name).collect::<Vec<_>>()
                         ));
                     }
-                    let mut merged: Relation = existing.clone();
                     for t in incoming.iter() {
-                        merged.insert(t.clone()).map_err(|e| e.to_string())?;
+                        existing.insert(t.clone()).map_err(|e| e.to_string())?;
                     }
-                    next.set(rel_name.to_string(), merged);
                 }
                 Err(_) => next.set(rel_name.to_string(), incoming.clone()),
             }
+            touched.push(next.canonical_name(rel_name).unwrap_or(rel_name).to_string());
         }
+        let slots = Arc::new(current.slots.renewed(&next, &touched));
         let generation = Self::next_gen(&mut state, name);
         state
             .dbs
-            .insert(name.to_string(), Snapshot { db: Arc::new(next), generation });
+            .insert(name.to_string(), Snapshot { db: Arc::new(next), generation, slots });
         Ok(generation)
     }
 

@@ -140,17 +140,17 @@ impl Server {
     /// The non-analyze path: physical engines go through the plan
     /// cache, the reference oracle never does (it has no plan).
     fn run_plain(&self, req: &QueryRequest, snap: &Snapshot) -> Result<(Relation, bool), String> {
-        let db = &*snap.db;
         if req.engine == Engine::Reference {
+            let src = snap.source();
             let rel = match req.lang {
-                Lang::Sql => run_sql_with(req.engine, &req.text, db, req.cfg),
+                Lang::Sql => run_sql_with(req.engine, &req.text, src, req.cfg),
                 Lang::Trc => {
                     let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                    eval_trc_with(req.engine, &q, db, req.cfg)
+                    eval_trc_with(req.engine, &q, src, req.cfg)
                 }
                 Lang::Datalog => {
                     let prog = relviz_datalog::parse::parse_program(&req.text).map_err(str_of)?;
-                    relviz_exec::eval_datalog_with(req.engine, &prog, db, req.cfg)
+                    relviz_exec::eval_datalog_with(req.engine, &prog, src, req.cfg)
                 }
             }
             .map_err(str_of)?;
@@ -172,16 +172,17 @@ impl Server {
     }
 
     fn prepare(&self, req: &QueryRequest, snap: &Snapshot) -> Result<Prepared, String> {
-        let db = &*snap.db;
+        let src = snap.source();
         match req.lang {
             Lang::Sql => {
-                let trc = relviz_rc::from_sql::parse_sql_to_trc(&req.text, db).map_err(str_of)?;
-                let plan = plan_trc_with(&trc, db, req.cfg).map_err(str_of)?;
+                let trc =
+                    relviz_rc::from_sql::parse_sql_to_trc(&req.text, &snap.db).map_err(str_of)?;
+                let plan = plan_trc_with(&trc, &src, req.cfg).map_err(str_of)?;
                 Ok(Prepared::Plan(Arc::new(plan)))
             }
             Lang::Trc => {
                 let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                let plan = plan_trc_with(&q, db, req.cfg).map_err(str_of)?;
+                let plan = plan_trc_with(&q, &src, req.cfg).map_err(str_of)?;
                 Ok(Prepared::Plan(Arc::new(plan)))
             }
             Lang::Datalog => {
@@ -191,7 +192,7 @@ impl Server {
                 // original for the defensive fallback.
                 if req.cfg.magic {
                     if let Some(t) = magic_transform(&prog) {
-                        if let Ok(plan) = plan_datalog_with(&t, db, req.cfg) {
+                        if let Ok(plan) = plan_datalog_with(&t, &src, req.cfg) {
                             return Ok(Prepared::Fixpoint {
                                 plan: Arc::new(plan),
                                 query_pred: t.query.clone(),
@@ -200,7 +201,7 @@ impl Server {
                         }
                     }
                 }
-                let plan = plan_datalog_with(&prog, db, req.cfg).map_err(str_of)?;
+                let plan = plan_datalog_with(&prog, &src, req.cfg).map_err(str_of)?;
                 let query_pred = prog.query.clone();
                 Ok(Prepared::Fixpoint { plan: Arc::new(plan), query_pred, program: Arc::new(prog) })
             }
@@ -213,18 +214,18 @@ impl Server {
         req: &QueryRequest,
         snap: &Snapshot,
     ) -> Result<Relation, String> {
-        let db = &*snap.db;
+        let src = snap.source();
         match prepared {
             Prepared::Plan(plan) => match req.engine {
-                Engine::Indexed => execute(plan, db).map_err(str_of),
-                Engine::Parallel(t) => execute_parallel(plan, db, t).map_err(str_of),
+                Engine::Indexed => execute(plan, &src).map_err(str_of),
+                Engine::Parallel(t) => execute_parallel(plan, &src, t).map_err(str_of),
                 Engine::Reference => Err("reference engine has no prepared plan".to_string()),
             },
             Prepared::Fixpoint { plan, query_pred, program } => {
                 let mut all = match req.engine {
-                    Engine::Indexed => eval_fixpoint(plan, db).map_err(str_of)?,
+                    Engine::Indexed => eval_fixpoint(plan, &src).map_err(str_of)?,
                     Engine::Parallel(t) => {
-                        relviz_exec::parallel::eval_fixpoint_parallel(plan, db, t)
+                        relviz_exec::parallel::eval_fixpoint_parallel(plan, &src, t)
                             .map_err(str_of)?
                     }
                     Engine::Reference => {
@@ -237,7 +238,7 @@ impl Server {
                     // predicate — fall back to the untransformed
                     // program, exactly like `eval_datalog_with`.
                     None => {
-                        let mut all = eval_datalog_all_with(req.engine, program, db, req.cfg)
+                        let mut all = eval_datalog_all_with(req.engine, program, &src, req.cfg)
                             .map_err(str_of)?;
                         all.remove(&program.query).ok_or_else(|| {
                             format!("query predicate `{}` was never derived", program.query)
@@ -256,16 +257,16 @@ impl Server {
         req: &QueryRequest,
         snap: &Snapshot,
     ) -> Result<Vec<String>, String> {
-        let db = &*snap.db;
+        let src = snap.source();
         let (rel, report) = match req.lang {
-            Lang::Sql => run_sql_analyzed_with(req.engine, &req.text, db, req.cfg),
+            Lang::Sql => run_sql_analyzed_with(req.engine, &req.text, &src, req.cfg),
             Lang::Trc => {
                 let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                eval_trc_analyzed_with(req.engine, &q, db, req.cfg)
+                eval_trc_analyzed_with(req.engine, &q, &src, req.cfg)
             }
             Lang::Datalog => {
                 let prog = relviz_datalog::parse::parse_program(&req.text).map_err(str_of)?;
-                eval_datalog_analyzed_with(req.engine, &prog, db, req.cfg)
+                eval_datalog_analyzed_with(req.engine, &prog, &src, req.cfg)
             }
         }
         .map_err(str_of)?;
@@ -599,6 +600,125 @@ mod tests {
         let cat = one(&s, r#"{"type":"catalog","id":4}"#);
         let Some(Json::Arr(dbs)) = cat.get("databases") else { panic!("databases array") };
         assert_eq!(dbs.len(), 1);
+    }
+
+    /// Materializations `line` causes (the executor counts them on the
+    /// calling thread, and the `exec` engine stays on it).
+    fn materializations(server: &Server, line: &str) -> usize {
+        relviz_exec::stats::counters::reset();
+        let frames = server.handle_line(line);
+        assert!(
+            frames.iter().all(|f| !f.contains("\"type\":\"error\"")),
+            "{line} failed: {frames:?}"
+        );
+        relviz_exec::stats::counters::materializations()
+    }
+
+    fn query(sql: &str) -> String {
+        format!(r#"{{"type":"query","id":1,"query":"{sql}"}}"#)
+    }
+
+    const ALL3: &str = "SELECT S.sname FROM Sailor S, Reserves R, Boat B \
+                        WHERE S.sid = R.sid AND R.bid = B.bid";
+    const ALL3_OTHER: &str = "SELECT B.bname FROM Sailor S, Reserves R, Boat B \
+                              WHERE S.sid = R.sid AND R.bid = B.bid AND S.rating > 5";
+    const SAILOR_BOAT: &str = "SELECT S.sname, B.bname FROM Sailor S, Boat B WHERE S.rating > 9";
+    const INSERT_RESERVES: &str = r#"{"type":"insert","id":2,"text":"relation Reserves(sid:int, bid:int, day:str)\n95, 103, '2024-09-09'\n"}"#;
+
+    /// Counter pin: a generation's relations are materialized once, on
+    /// their first read, and every later request reuses them — a
+    /// different query text (a plan-cache miss) included.
+    #[test]
+    fn an_unchanged_generation_materializes_each_relation_once() {
+        let s = server();
+        assert_eq!(materializations(&s, &query(ALL3)), 3);
+        assert_eq!(materializations(&s, &query(ALL3_OTHER)), 0);
+        assert_eq!(materializations(&s, &query(ALL3)), 0, "cached plan, resident batches");
+        let analyze = format!(r#"{{"type":"query","id":3,"query":"{ALL3}","analyze":true}}"#);
+        assert_eq!(materializations(&s, &analyze), 0, "analyze reads the snapshot's slots");
+        let datalog = r#"{"type":"query","id":4,"lang":"datalog","query":"q(N) :- Sailor(S, N, R, A), Reserves(S, B, D)."}"#;
+        assert_eq!(materializations(&s, datalog), 0, "the fixpoint reads them too");
+    }
+
+    /// Counter pin: an insert materializes nothing, and the next reads
+    /// re-materialize the touched relation only.
+    #[test]
+    fn an_insert_rematerializes_only_the_touched_relation() {
+        let s = server();
+        assert_eq!(materializations(&s, &query(ALL3)), 3);
+        assert_eq!(materializations(&s, INSERT_RESERVES), 0, "writes materialize nothing");
+        assert_eq!(materializations(&s, &query(SAILOR_BOAT)), 0, "untouched: still resident");
+        assert_eq!(materializations(&s, &query(ALL3_OTHER)), 1, "Reserves only");
+        assert_eq!(materializations(&s, &query(ALL3)), 0);
+    }
+
+    /// Counter pin: a load materializes nothing, and each relation of
+    /// the new generation materializes once, on its first read.
+    #[test]
+    fn a_load_rematerializes_each_relation_on_first_read() {
+        let s = server();
+        assert_eq!(materializations(&s, &query(ALL3)), 3);
+        let text = relviz_model::text::dump_database(&sailors_sample());
+        let load = format!(r#"{{"type":"load","id":5,"text":"{}"}}"#, escape(&text));
+        assert_eq!(materializations(&s, &load), 0, "writes materialize nothing");
+        assert_eq!(materializations(&s, &query("SELECT S.sname FROM Sailor S")), 1);
+        assert_eq!(materializations(&s, &query("SELECT S.sid FROM Sailor S")), 0);
+        assert_eq!(materializations(&s, &query(ALL3)), 2, "Reserves and Boat");
+        assert_eq!(materializations(&s, &query(ALL3_OTHER)), 0);
+    }
+
+    /// The sketches a generation's estimates read describe that
+    /// generation: after an insert, `EXPLAIN ANALYZE` estimates the
+    /// touched relation's scan at its new row count, not the count the
+    /// previous generation's sketch recorded.
+    #[test]
+    fn sketches_are_fresh_after_an_insert() {
+        let s = server();
+        let analyze = r#"{"type":"query","id":7,"query":"SELECT R.day FROM Reserves R","analyze":true}"#;
+        let scan_est = |s: &Server| -> f64 {
+            let frames = s.handle_line(analyze);
+            let stats = Json::parse(&frames[1]).expect("stats frame parses");
+            let payload = stats.get("stats_json").and_then(Json::as_str).expect("stats_json");
+            let doc = Json::parse(payload).expect("stats document parses");
+            let Some(Json::Arr(ops)) = doc.get("operators") else { panic!("operators") };
+            let scan = ops
+                .iter()
+                .find(|op| op.get("op").and_then(Json::as_str) == Some("Scan"))
+                .expect("a Scan operator");
+            match scan.get("est_rows") {
+                Some(Json::Num(n)) => *n,
+                other => panic!("est_rows: {other:?}"),
+            }
+        };
+        let before = sailors_sample().relation("Reserves").expect("Reserves").len();
+        assert_eq!(scan_est(&s), before as f64);
+        one(&s, INSERT_RESERVES);
+        assert_eq!(scan_est(&s), (before + 1) as f64);
+    }
+
+    /// An insert whose fragment spells the relation in another case
+    /// lands in the stored relation and refreshes its slot: a query on
+    /// the canonical name sees the new row, exactly as one-shot
+    /// execution over the same data does.
+    #[test]
+    fn a_differently_cased_insert_is_visible_to_the_canonical_name() {
+        let s = server();
+        let sql = "SELECT R.sid, R.bid FROM Reserves R WHERE R.bid = 103";
+        one(&s, &query(sql)); // fill the generation's Reserves slot
+        let ins = one(
+            &s,
+            r#"{"type":"insert","id":2,"text":"relation reserves(sid:int, bid:int, day:str)\n95, 103, '2024-09-09'\n"}"#,
+        );
+        assert_eq!(ins.get("type").and_then(Json::as_str), Some("ok"), "{ins:?}");
+        let body = one(&s, &query(sql)).get("body").and_then(Json::as_str).map(str::to_string);
+        let mut db = sailors_sample();
+        db.relation_mut("Reserves")
+            .expect("Reserves")
+            .insert(relviz_model::Tuple::of((95, 103, "2024-09-09")))
+            .expect("inserts");
+        let oneshot = run_sql_with(Engine::Indexed, sql, &db, OptConfig::current()).expect("runs");
+        assert_eq!(body, Some(format!("{oneshot}")));
+        assert!(body.is_some_and(|b| b.contains("95")), "the new row is visible");
     }
 
     #[test]
