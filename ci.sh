@@ -10,10 +10,12 @@ cargo build --release --workspace --bins --examples
 cargo test -q --workspace
 
 # 2b. The same suite under contention: RELVIZ_THREADS=8 makes every
-#     `Engine::Parallel(0)` ("auto") site — the conformance path, the
-#     pipeline, the CLI default — run eight workers, so the parallel
-#     runtime's scheduling is exercised across the whole suite, and the
-#     determinism tests pin byte-identical results under it.
+#     auto-width run (`ExecOptions { threads: 0, .. }`) run eight
+#     workers — conformance path 9, the all-engine conformance and
+#     float-semantics sweeps — so the parallel runtime's scheduling is
+#     exercised across the suite, and the determinism tests pin
+#     byte-identical results under it. (The pipeline and the CLI
+#     default run at width 1, which this variable does not change.)
 RELVIZ_THREADS=8 cargo test -q --workspace
 
 # 3. All nine Criterion bench targets must compile.
@@ -58,11 +60,19 @@ cargo run --release --bin relviz -- run \
     --lang datalog --analyze | grep -q "stratum 0 round"
 
 # 4e. Optimizer A/B toggle: the analyzed footer must report the plan
-#     mode, and --no-opt must flip it to unoptimized.
+#     mode, and --no-opt must flip it to unoptimized on every surface it
+#     reaches — SQL and Datalog runs, and a server's default — with no
+#     process-wide switch: the CLI passes its OptConfig down explicitly.
 cargo run --release --bin relviz -- run \
     "SELECT S.sname FROM Sailor S" --analyze | grep -q "plan=optimized"
 cargo run --release --bin relviz -- run \
     "SELECT S.sname FROM Sailor S" --analyze --no-opt | grep -q "plan=unoptimized"
+cargo run --release --bin relviz -- run \
+    "edge(X, Y) :- Reserves(X, Y, D). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)." \
+    --lang datalog --analyze --no-opt | grep -q "plan=unoptimized"
+printf '%s\n' '{"type":"query","id":1,"query":"SELECT S.sname FROM Sailor S","analyze":true}' \
+    | cargo run --release --bin relviz -- serve --stdio --no-opt \
+    | grep -q '\\"optimized\\": false'
 
 # 5. Timed S1 smoke run: the θ-join/product workload at n=1000, the
 #    recursive transitive-closure workload at n ∈ {100, 300, 1000}

@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use relviz_core::suite::by_id;
+use relviz_exec::OptConfig;
 use relviz_layout::layered::{layout, GraphSpec, LayeredOptions};
 use relviz_model::generate::{generate_sailors, GenConfig};
 
@@ -40,11 +41,11 @@ fn bench_eval_scaling(c: &mut Criterion) {
         }
         // The physical engine on both forms (plans built once per size;
         // planning depends only on the catalog).
-        let ra_plan = relviz_exec::plan_ra(&ra, &db).unwrap();
+        let ra_plan = relviz_exec::plan_ra_with(&ra, &db, OptConfig::optimized()).unwrap();
         g.bench_with_input(BenchmarkId::new("exec_ra_q2", n), &db, |b, db| {
             b.iter(|| relviz_exec::execute(black_box(&ra_plan), db).unwrap())
         });
-        let trc_plan = relviz_exec::plan_trc(&trc, &db).unwrap();
+        let trc_plan = relviz_exec::plan_trc_with(&trc, &db, OptConfig::optimized()).unwrap();
         g.bench_with_input(BenchmarkId::new("exec_trc_q2", n), &db, |b, db| {
             b.iter(|| relviz_exec::execute(black_box(&trc_plan), db).unwrap())
         });
@@ -72,7 +73,7 @@ fn bench_optimizer_effect(c: &mut Criterion) {
     g.bench_function("optimized_theta_join", |b| {
         b.iter(|| relviz_ra::eval::eval(black_box(&optimized), &db).unwrap())
     });
-    let naive_plan = relviz_exec::plan_ra(&naive, &db).unwrap();
+    let naive_plan = relviz_exec::plan_ra_with(&naive, &db, OptConfig::optimized()).unwrap();
     g.bench_function("exec_from_naive", |b| {
         b.iter(|| relviz_exec::execute(black_box(&naive_plan), &db).unwrap())
     });

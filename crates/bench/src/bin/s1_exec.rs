@@ -23,13 +23,13 @@
 //! ≥ [`FILTER_GATE`]× over the row-major baseline at the largest size.
 //!
 //! The transitive-closure workload at `n` additionally runs once with
-//! the `exec::stats` instrumentation enabled (`eval_datalog_analyzed`,
+//! the `exec::stats` instrumentation enabled (`eval_datalog_analyzed_with`,
 //! recorded as `engine: "exec-analyzed"`), printing the top operators
 //! by recorded time; `--assert` gates the analyzed run at ≤5% (+0.1 ms
 //! noise floor) over the uninstrumented wall time.
 //!
 //! Every snapshot row carries a `threads` field (1 for the serial
-//! engines). The deep exec-only size also runs on `Engine::Parallel`
+//! engines). The deep exec-only size also runs on the physical engine
 //! at the machine's worker count, recorded as an `engine: "parallel"`
 //! row — and, on hardware with **≥ 4 threads**, `--assert` additionally
 //! gates the parallel runtime at ≥ [`PAR_GATE`]× over single-thread
@@ -42,10 +42,10 @@ use std::time::Instant;
 
 use relviz_datalog::parse::parse_program;
 use relviz_exec::indexed::{Index, JoinKey};
-use relviz_exec::run::{bench_filter, bench_hashjoin_probe, bench_project};
+use relviz_exec::run::bench;
 use relviz_exec::{
-    eval_datalog_with, execute, plan_ra, plan_ra_with, plan_trc, Engine, IndexedRelation,
-    OptConfig, OutputCol,
+    eval_datalog_analyzed_with, eval_datalog_with, execute, plan_ra_with, plan_trc_with, Engine,
+    ExecOptions, IndexedRelation, OptConfig, OutputCol,
 };
 use relviz_model::generate::{generate_binary_pair, generate_sailors, GenConfig};
 use relviz_model::{CmpOp, Database, DataType, Relation, Schema, Tuple, Value};
@@ -157,7 +157,7 @@ fn run_workloads(n: usize, db: &Database) -> (Vec<Snapshot>, f64) {
     let naive = relviz_ra::parse::parse_ra(THETA_PRODUCT).expect("workload parses");
     let (ref_ms, ref_out): (f64, Relation) =
         time_ms(3, || relviz_ra::eval::eval(&naive, db).expect("reference evaluates"));
-    let plan = plan_ra(&naive, db).expect("plans");
+    let plan = plan_ra_with(&naive, db, OptConfig::optimized()).expect("plans");
     let (exec_ms, exec_out) = time_ms(5, || execute(&plan, db).expect("executes"));
     assert!(
         exec_out.same_contents(&ref_out),
@@ -172,7 +172,7 @@ fn run_workloads(n: usize, db: &Database) -> (Vec<Snapshot>, f64) {
     let trc = relviz_rc::trc_parse::parse_trc(q2.trc).expect("trc parses");
     let (trc_ref_ms, trc_ref_out) =
         time_ms(1, || relviz_rc::trc_eval::eval_trc(&trc, db).expect("reference evaluates"));
-    let trc_plan = plan_trc(&trc, db).expect("plans");
+    let trc_plan = plan_trc_with(&trc, db, OptConfig::optimized()).expect("plans");
     let (trc_exec_ms, trc_exec_out) = time_ms(5, || execute(&trc_plan, db).expect("executes"));
     assert!(trc_exec_out.same_contents(&trc_ref_out), "engines disagree on Q2 (TRC)");
     snaps.push(Snapshot { engine: "reference", query: "trc_q2", n, threads: 1, wall_ms: trc_ref_ms });
@@ -200,7 +200,8 @@ fn run_datalog_workload(
     let prog = parse_program(program).expect("workload parses");
 
     let (exec_ms, exec_out) = time_ms(5, || {
-        relviz_exec::eval_datalog(Engine::Indexed, &prog, &db).expect("fixpoint evaluates")
+        eval_datalog_with(Engine::Indexed, &prog, &db, ExecOptions::default())
+            .expect("fixpoint evaluates")
     });
     assert!(!exec_out.is_empty(), "{query} @ {m} is empty");
     let mut snaps = Vec::new();
@@ -376,7 +377,7 @@ fn run_operator_micros() -> (Vec<Snapshot>, f64) {
             CmpOp::Ge,
             Operand::val(Value::Int(100)),
         ));
-        let (col_ms, col_out) = time_ms(7, || bench_filter(&batch, &pred).expect("filter runs"));
+        let (col_ms, col_out) = time_ms(7, || bench::filter(&batch, &pred).expect("filter runs"));
         let (c500, c100) = (Value::Int(500), Value::Int(100));
         let (row_ms, row_out) = time_ms(7, || {
             tuples
@@ -398,7 +399,7 @@ fn run_operator_micros() -> (Vec<Snapshot>, f64) {
         let cols = [OutputCol::Pos(2), OutputCol::Pos(0)];
         let pschema = Schema::of(&[("s", DataType::Str), ("k", DataType::Int)]);
         let (col_ms, col_out) =
-            time_ms(7, || bench_project(&batch, &cols, pschema.clone()).expect("project runs"));
+            time_ms(7, || bench::project(&batch, &cols, pschema.clone()).expect("project runs"));
         let (row_ms, row_out) = time_ms(7, || {
             tuples
                 .iter()
@@ -448,7 +449,7 @@ fn run_operator_micros() -> (Vec<Snapshot>, f64) {
         // the rows isolate probe + output assembly.
         let rindex = right.index(&[0]);
         let (col_ms, col_out) = time_ms(7, || {
-            bench_hashjoin_probe(&left, &right, &[0], &[0]).expect("probe runs")
+            bench::hashjoin_probe(&left, &right, &[0], &[0]).expect("probe runs")
         });
         let (row_ms, row_out) = time_ms(7, || {
             let mut out = Vec::new();
@@ -502,7 +503,8 @@ fn main() {
     // schema stays fixed.
     {
         let naive = relviz_ra::parse::parse_ra(THETA_PRODUCT).expect("workload parses");
-        let (plan_ms, plan) = time_ms(20, || plan_ra(&naive, &db).expect("plans"));
+        let (plan_ms, plan) =
+            time_ms(20, || plan_ra_with(&naive, &db, OptConfig::optimized()).expect("plans"));
         let (verify_ms, diags) = time_ms(20, || relviz_exec::verify_plan(&plan, Some(&db)));
         assert!(diags.is_empty(), "bench workload plan fails verification");
         println!(
@@ -540,7 +542,7 @@ fn main() {
         let db_tc = generate_binary_pair(TC_SEED, n, n as i64);
         let prog = parse_program(TC_PROGRAM).expect("workload parses");
         let (analyzed_ms, (rel, report)) = time_ms(5, || {
-            relviz_exec::eval_datalog_analyzed(Engine::Indexed, &prog, &db_tc)
+            eval_datalog_analyzed_with(Engine::Indexed, &prog, &db_tc, ExecOptions::default())
                 .expect("analyzed fixpoint evaluates")
         });
         assert!(
@@ -581,8 +583,9 @@ fn main() {
     let par_ms = {
         let db_deep = generate_binary_pair(TC_SEED, deep, deep as i64);
         let prog = parse_program(TC_PROGRAM).expect("workload parses");
+        let wide = ExecOptions { threads: par_threads, ..ExecOptions::default() };
         let (par_ms, par_out) = time_ms(5, || {
-            relviz_exec::eval_datalog(Engine::Parallel(par_threads), &prog, &db_deep)
+            eval_datalog_with(Engine::Indexed, &prog, &db_deep, wide)
                 .expect("parallel fixpoint evaluates")
         });
         assert!(

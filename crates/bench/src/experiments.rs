@@ -605,7 +605,7 @@ pub fn e10_dataplay_flips() {
 /// door on the reference evaluator and on the physical engine, at
 /// growing database sizes, with agreement checked per cell.
 pub fn s1_engines() {
-    use relviz_exec::Engine;
+    use relviz_exec::{run_sql_with, Engine, ExecOptions};
     banner("S1", "reference evaluators vs the physical engine (suite, SQL→TRC)");
     for n in [200usize, 1000] {
         let db = relviz_model::generate::generate_sailors(
@@ -627,10 +627,12 @@ pub fn s1_engines() {
                 continue;
             }
             let t0 = Instant::now();
-            let reference = relviz_exec::run_sql(Engine::Reference, q.sql, &db).expect("reference");
+            let reference = run_sql_with(Engine::Reference, q.sql, &db, ExecOptions::default())
+                .expect("reference");
             let t_ref = t0.elapsed();
             let t1 = Instant::now();
-            let fast = relviz_exec::run_sql(Engine::Indexed, q.sql, &db).expect("exec");
+            let fast =
+                run_sql_with(Engine::Indexed, q.sql, &db, ExecOptions::default()).expect("exec");
             let t_exec = t1.elapsed();
             let speedup = t_ref.as_secs_f64() / t_exec.as_secs_f64().max(1e-9);
             println!(

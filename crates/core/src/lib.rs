@@ -20,5 +20,5 @@ pub mod pipeline;
 pub mod principles;
 pub mod suite;
 
-pub use pipeline::{Backend, Engine, PipelineOutput, QueryVisualizer, VisFormalism};
+pub use pipeline::{Backend, Engine, ExecOptions, PipelineOutput, QueryVisualizer, VisFormalism};
 pub use suite::{SuiteQuery, SUITE};

@@ -13,16 +13,19 @@
 //!
 //! The pipeline also *executes* queries ([`QueryVisualizer::run`]): the
 //! interactive path defaults to the physical engine
-//! ([`Engine::Indexed`]) — diagrams explain the query, the engine
-//! answers it — with [`QueryVisualizer::with_engine`] switching back to
-//! the reference evaluator when an oracle is wanted.
+//! ([`Engine::Indexed`]) at one worker with the optimizer on —
+//! diagrams explain the query, the engine answers it — with
+//! [`QueryVisualizer::with_engine`] switching back to the reference
+//! evaluator when an oracle is wanted, and
+//! [`QueryVisualizer::with_options`] setting the worker width and
+//! optimizer configuration.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use relviz_diagrams::{dataplay, dfql, qbd, qbe, queryvis, reldiag, sieuferd, sqlvis, stringdiag, tabletalk, visualsql};
-pub use relviz_exec::{Engine, OptConfig};
+pub use relviz_exec::{Engine, ExecOptions, OptConfig};
 use relviz_model::{Database, Relation};
 use relviz_render::Scene;
 
@@ -101,21 +104,20 @@ pub struct QueryVisualizer {
     formalism: VisFormalism,
     backend: Backend,
     engine: Engine,
-    /// Explicit optimizer configuration; `None` defers to the
-    /// process-wide default at call time.
-    opt: Option<OptConfig>,
+    options: ExecOptions,
     cache: RwLock<HashMap<(String, VisFormalism, Backend), Arc<PipelineOutput>>>,
 }
 
 impl QueryVisualizer {
     /// A visualizer whose interactive execution path runs on the
-    /// physical engine ([`Engine::Indexed`]).
+    /// physical engine ([`Engine::Indexed`]) under the default
+    /// [`ExecOptions`] (one worker, optimizer on).
     pub fn new(formalism: VisFormalism, backend: Backend) -> Self {
         QueryVisualizer {
             formalism,
             backend,
             engine: Engine::Indexed,
-            opt: None,
+            options: ExecOptions::default(),
             cache: RwLock::new(HashMap::new()),
         }
     }
@@ -126,12 +128,11 @@ impl QueryVisualizer {
         self
     }
 
-    /// Pins this visualizer's optimizer configuration, instead of the
-    /// process-wide default — what concurrent hosts (the `relviz serve`
-    /// daemon) use so one pipeline's `--no-opt` can't leak into
-    /// another's execution.
-    pub fn with_opt(mut self, cfg: OptConfig) -> Self {
-        self.opt = Some(cfg);
+    /// Sets the worker width and optimizer configuration
+    /// [`run`](Self::run), [`run_analyzed`](Self::run_analyzed) and
+    /// [`check`](Self::check) use.
+    pub fn with_options(mut self, options: ExecOptions) -> Self {
+        self.options = options;
         self
     }
 
@@ -140,30 +141,22 @@ impl QueryVisualizer {
         self.engine
     }
 
-    /// The optimizer configuration execution uses: the pinned one, else
-    /// the process-wide default.
-    pub fn opt_config(&self) -> OptConfig {
-        self.opt.unwrap_or_else(OptConfig::current)
-    }
-
     /// Executes the SQL query on the pipeline's engine.
     ///
-    /// [`Engine::Indexed`] runs the physical engine through the same
-    /// SQL → TRC front door the visualization path uses (two-valued
-    /// logic over the total order of values), and [`Engine::Parallel`]
-    /// the partitioned parallel runtime over the same plans (results
-    /// bit-identical to `Indexed`). [`Engine::Reference`] is the SQL
-    /// *language's* own reference evaluator — including SQL's
-    /// three-valued treatment of `NULL`, which the calculus translation
-    /// does not model — so it remains the oracle for NULL-bearing data.
+    /// [`Engine::Indexed`] runs the physical engine, at the options'
+    /// worker width, through the same SQL → TRC front door the
+    /// visualization path uses (two-valued logic over the total order
+    /// of values; results bit-identical at every width).
+    /// [`Engine::Reference`] is the SQL *language's* own reference
+    /// evaluator — including SQL's three-valued treatment of `NULL`,
+    /// which the calculus translation does not model — so it remains
+    /// the oracle for NULL-bearing data.
     pub fn run(&self, sql: &str, db: &Database) -> DiagResult<Relation> {
         match self.engine {
             Engine::Reference => relviz_sql::eval::run_sql(sql, db)
                 .map_err(|e| DiagError::Lang(e.to_string())),
-            engine @ (Engine::Indexed | Engine::Parallel(_)) => {
-                relviz_exec::run_sql_with(engine, sql, db, self.opt_config())
-                    .map_err(|e| DiagError::Lang(e.to_string()))
-            }
+            Engine::Indexed => relviz_exec::run_sql_with(self.engine, sql, db, self.options)
+                .map_err(|e| DiagError::Lang(e.to_string())),
         }
     }
 
@@ -177,7 +170,7 @@ impl QueryVisualizer {
         sql: &str,
         db: &Database,
     ) -> DiagResult<(Relation, relviz_exec::StatsReport)> {
-        relviz_exec::run_sql_analyzed_with(self.engine, sql, db, self.opt_config())
+        relviz_exec::run_sql_analyzed_with(self.engine, sql, db, self.options)
             .map_err(|e| DiagError::Lang(e.to_string()))
     }
 
@@ -195,7 +188,7 @@ impl QueryVisualizer {
         let parsed =
             relviz_sql::parse_query(sql).map_err(|e| DiagError::Lang(e.to_string()))?;
         let trc = relviz_rc::from_sql::sql_to_trc(&parsed, db)?;
-        let plan = relviz_exec::plan_trc(&trc, db)
+        let plan = relviz_exec::plan_trc_with(&trc, db, self.options.opt)
             .map_err(|e| DiagError::Lang(e.to_string()))?;
         let diags = relviz_exec::verify_plan(&plan, Some(db));
         let report = relviz_exec::verification_footer(plan.node_count(), &diags);
@@ -350,7 +343,7 @@ mod tests {
             .unwrap();
         for threads in [1, 4] {
             let par = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii)
-                .with_engine(Engine::Parallel(threads))
+                .with_options(ExecOptions { threads, ..ExecOptions::default() })
                 .run(Q5, &db)
                 .unwrap();
             assert!(par.same_contents(&exec));
@@ -363,9 +356,9 @@ mod tests {
         let db = sailors_sample();
         let q = "SELECT S.sname FROM Sailor S WHERE S.rating > 7";
         let plain = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii)
-            .with_opt(OptConfig::unoptimized());
+            .with_options(OptConfig::unoptimized().into());
         let tuned = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii)
-            .with_opt(OptConfig::optimized());
+            .with_options(OptConfig::optimized().into());
         let (rel_a, rep_a) = plain.run_analyzed(q, &db).unwrap();
         let (rel_b, rep_b) = tuned.run_analyzed(q, &db).unwrap();
         assert!(!rep_a.optimized);

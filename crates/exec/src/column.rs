@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use relviz_model::{Tuple, Value, ValueRef};
 
-use crate::stats::counters as instrument;
+use crate::stats::counters;
 
 /// The engine's row-number type. See the module docs for the width
 /// decision; use [`row_id`] for the checked narrowing conversion.
@@ -79,7 +79,7 @@ pub struct Bitmap {
 impl Bitmap {
     /// An all-unset bitmap of `len` bits (counted as a bitmap alloc).
     pub fn zeros(len: usize) -> Bitmap {
-        instrument::count_bitmap_alloc();
+        counters::count_bitmap_alloc();
         Bitmap { words: vec![0; len.div_ceil(64)], len }
     }
 
@@ -267,7 +267,7 @@ fn intern_in(interner: &mut Arc<StrInterner>, s: &str) -> u32 {
         return id;
     }
     if Arc::strong_count(interner) > 1 {
-        instrument::count_interner_growth();
+        counters::count_interner_growth();
     }
     Arc::make_mut(interner).intern(s)
 }
@@ -449,7 +449,7 @@ impl Column {
     /// dissolved) — the one-time cost of discovering a column's rows
     /// mix types. Counted as a column materialization.
     fn demote_to_mixed(&mut self) {
-        instrument::count_column_build();
+        counters::count_column_build();
         let vals: Vec<Value> = (0..self.len()).map(|r| self.get(r).to_value()).collect();
         self.data = ColumnData::Mixed(vals);
         self.validity = None;
@@ -509,7 +509,7 @@ impl Column {
                     id
                 } else {
                     if Arc::strong_count(ia) > 1 {
-                        instrument::count_interner_growth();
+                        counters::count_interner_growth();
                     }
                     Arc::make_mut(ia).intern_arc(ib.arc(b[row]))
                 };
@@ -617,7 +617,7 @@ impl ColumnStore {
         }
         if !tuples.is_empty() {
             for _ in 0..arity {
-                instrument::count_column_build();
+                counters::count_column_build();
             }
         }
         ColumnStore { columns: cols.into_iter().map(Arc::new).collect(), rows: tuples.len() }

@@ -39,13 +39,7 @@ use crate::planner::apply_filter;
 use crate::slots::Source;
 
 /// Lowers a program (range-restriction-checked and stratified first)
-/// into a recursive-query plan for [`crate::fixpoint::eval_fixpoint`],
-/// under the process-wide optimizer setting.
-pub fn plan_datalog<'a>(program: &Program, db: impl Into<Source<'a>>) -> ExecResult<FixpointPlan> {
-    plan_datalog_with(program, db, OptConfig::current())
-}
-
-/// [`plan_datalog`] with an explicit optimizer configuration:
+/// into a recursive-query plan for [`crate::fixpoint::eval_fixpoint`].
 /// `cfg.reorder` enables cost-based ordering of each rule body's
 /// positive atoms ([`crate::opt::order_atoms`]) in place of the
 /// syntactic left-to-right chain.

@@ -336,7 +336,7 @@ fn run_stratum(
             })
         };
         for (rule, out) in stratum.rules.iter().zip(outs) {
-            crate::parallel::instrument::count_merge();
+            crate::stats::counters::count_merge();
             absorb(
                 head_entry(idb, &rule.head, "IDB")?,
                 delta_entry(&mut delta, &rule.head)?,
@@ -393,7 +393,7 @@ fn run_stratum(
             };
             for ((ri, _), out) in variants.iter().zip(outs) {
                 let head = &stratum.rules[*ri].head;
-                crate::parallel::instrument::count_merge();
+                crate::stats::counters::count_merge();
                 absorb(
                     head_entry(idb, head, "IDB")?,
                     delta_entry(&mut next, head)?,
@@ -566,7 +566,8 @@ fn write_rule_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datalog_planner::plan_datalog;
+    use crate::datalog_planner::plan_datalog_with;
+    use crate::opt::OptConfig;
     use relviz_datalog::eval::eval_all;
     use relviz_datalog::parse::parse_program;
     use relviz_model::catalog::sailors_sample;
@@ -578,7 +579,7 @@ mod tests {
     fn check(src: &str, db: &Database) {
         let prog = parse_program(src).unwrap();
         let reference = eval_all(&prog, db).unwrap();
-        let plan = plan_datalog(&prog, db).unwrap();
+        let plan = plan_datalog_with(&prog, db, OptConfig::optimized()).unwrap();
         let ours = eval_fixpoint(&plan, db).unwrap();
         assert_eq!(ours.len(), reference.len(), "IDB predicate sets differ");
         for (name, rel) in &reference {
@@ -641,7 +642,8 @@ mod tests {
         let src = "tc(X, Y) :- R(X, Y).\n\
                    tc(X, Z) :- tc(X, Y), tc(Y, Z).";
         check(src, &db);
-        let plan = plan_datalog(&parse_program(src).unwrap(), &db).unwrap();
+        let plan =
+            plan_datalog_with(&parse_program(src).unwrap(), &db, OptConfig::optimized()).unwrap();
         assert_eq!(plan.strata[0].rules[1].deltas.len(), 2);
     }
 
@@ -684,7 +686,7 @@ mod tests {
         db.add("S", s).unwrap();
         check("ans(X, Z) :- R(X, Y), S(Y, Z).", &db);
         let prog = parse_program("ans(X, Z) :- R(X, Y), S(Y, Z).").unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let out = eval_fixpoint(&plan, &db).unwrap();
         assert_eq!(out["ans"].len(), 1, "Int 2 must join Float 2.0");
     }
@@ -710,7 +712,7 @@ mod tests {
              tc(X, Z) :- tc(X, Y), R(Y, Z).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let text = explain_datalog(&plan);
         assert!(text.starts_with("Fixpoint (query: tc)\n"), "{text}");
         assert!(text.contains("Stratum 0 [tc] recursive"), "{text}");
@@ -727,24 +729,24 @@ mod tests {
     /// for the entire evaluation, not once per round.
     #[test]
     fn fixpoint_never_deep_clones_the_idb() {
-        use crate::indexed::instrument;
+        use crate::stats::counters;
         let db = generate_binary_pair(11, 30, 12);
         let prog = parse_program(
             "tc(X, Y) :- R(X, Y).\n\
              tc(X, Z) :- tc(X, Y), R(Y, Z).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
-        instrument::reset();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
+        counters::reset();
         let out = eval_fixpoint(&plan, &db).unwrap();
         assert!(out["tc"].len() > db.relation("R").unwrap().len(), "recursion fired");
-        assert_eq!(instrument::deep_copies(), 0, "no full-IDB copies, any round");
-        assert_eq!(instrument::materializations(), 1, "R scanned into a batch once");
+        assert_eq!(counters::deep_copies(), 0, "no full-IDB copies, any round");
+        assert_eq!(counters::materializations(), 1, "R scanned into a batch once");
         // Columnar pin: the whole fixpoint builds exactly R's two
         // columns — empty IDB inits, absorbs, deltas, and join outputs
         // all reuse or gather existing columns, never re-columnarize.
         assert_eq!(
-            instrument::column_builds(),
+            counters::column_builds(),
             2,
             "columns are built once, by R's one materialization"
         );
@@ -755,7 +757,7 @@ mod tests {
         // accumulated batch.
         let rounds_upper_bound = out["tc"].len();
         assert!(
-            instrument::index_builds() <= 1 + rounds_upper_bound,
+            counters::index_builds() <= 1 + rounds_upper_bound,
             "index builds must not scale with rounds × IDB size"
         );
     }
@@ -766,20 +768,20 @@ mod tests {
     /// maintaining it and the IDB dedup table incrementally.
     #[test]
     fn tc_fixpoint_builds_one_index_total() {
-        use crate::indexed::instrument;
+        use crate::stats::counters;
         let db = generate_binary_pair(7, 40, 14);
         let prog = parse_program(
             "tc(X, Y) :- R(X, Y).\n\
              tc(X, Z) :- tc(X, Y), R(Y, Z).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
-        instrument::reset();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
+        counters::reset();
         eval_fixpoint(&plan, &db).unwrap();
         // ΔTC probes R's [0] index; IDB dedup runs on the whole-row
         // hash table, which is not an `Index`. Delta batches are probe
         // sides only, so they are never indexed.
-        assert_eq!(instrument::index_builds(), 1);
+        assert_eq!(counters::index_builds(), 1);
     }
 
     /// The strata DAG: `tc` and `node` both read only the EDB (level
@@ -796,7 +798,7 @@ mod tests {
              unreached(X, Y) :- node(X), node(Y), not tc(X, Y).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let levels = stratum_levels(&plan);
         assert_eq!(levels.len(), 2, "{levels:?}");
         assert_eq!(levels[0].len(), 2, "tc and node are independent");
@@ -808,7 +810,7 @@ mod tests {
              b(X) :- a(X), not R(X, X).",
         )
         .unwrap();
-        let chain_plan = plan_datalog(&chain, &db).unwrap();
+        let chain_plan = plan_datalog_with(&chain, &db, OptConfig::optimized()).unwrap();
         assert!(stratum_levels(&chain_plan).iter().all(|l| l.len() == 1));
     }
 
@@ -827,7 +829,7 @@ mod tests {
              unreached(X, Y) :- node(X), node(Y), not tc(X, Y).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let sequential = eval_fixpoint(&plan, &db).unwrap();
         for threads in [2, 8] {
             let parallel = eval_fixpoint_with(&plan, &Source::from(&db), threads).unwrap();
@@ -850,7 +852,7 @@ mod tests {
              tc(X, Z) :- tc(X, Y), R(Y, Z).",
         )
         .unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let text = explain_datalog_parallel(&plan, 4);
         assert!(text.starts_with("Fixpoint (query: tc) \u{2225}4\n"), "{text}");
         assert!(text.contains("Stratum 0 [tc] recursive level 0"), "{text}");

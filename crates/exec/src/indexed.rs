@@ -49,6 +49,7 @@ use parking_lot::Mutex;
 use relviz_model::{Relation, Schema, Tuple, Value, ValueRef};
 
 use crate::column::{row_id, ColumnStore, RowId};
+use crate::stats::counters;
 
 /// A join key: a projected value vector compared by the **total order**
 /// of [`Value`] (the order behind the model's set semantics and
@@ -339,7 +340,7 @@ impl IndexedRelation {
     /// relation per database generation, through the relation's slot
     /// ([`crate::slots`]), and scans clone the resident batch after that.
     pub fn from_relation(rel: &Relation) -> Self {
-        instrument::count_materialization();
+        counters::count_materialization();
         let tuples: Vec<Tuple> = rel.iter().cloned().collect();
         IndexedRelation::new(rel.schema().clone(), tuples)
     }
@@ -402,7 +403,7 @@ impl IndexedRelation {
         if let Some(idx) = map.get(cols) {
             return Arc::clone(idx);
         }
-        instrument::count_index_build();
+        counters::count_index_build();
         let mut index = Index::default();
         for row in 0..self.store.len() {
             index
@@ -431,7 +432,7 @@ impl IndexedRelation {
     /// rather than multiply it.
     pub fn index_partition(&self, cols: &[usize], part: usize, parts: usize) -> Index {
         debug_assert!(part < parts);
-        instrument::count_partition_build();
+        counters::count_partition_build();
         let mut index = Index::default();
         for row in 0..self.store.len() {
             if hash_partition(key_hash_at(&self.store, row, cols), parts) == part {
@@ -484,7 +485,7 @@ impl IndexedRelation {
     /// cells one layer down.)
     fn detach_if_shared(&mut self) {
         if Arc::strong_count(&self.store) > 1 {
-            instrument::count_deep_copy();
+            counters::count_deep_copy();
             self.store = Arc::new((*self.store).clone());
             let detached: IndexMap = self.indexes.lock().clone();
             self.indexes = Arc::new(Mutex::new(detached));
@@ -629,13 +630,6 @@ impl IndexedRelation {
     }
 }
 
-/// The storage-event counters (materializations, index builds, deep
-/// copies, …). Formerly a `cfg(test)`-only module here; now the
-/// always-compiled unified counter set in [`crate::stats::counters`],
-/// re-exported under the legacy path so the zero-copy pin tests read
-/// the same source of truth production does.
-pub(crate) use crate::stats::counters as instrument;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,11 +662,11 @@ mod tests {
 
     #[test]
     fn index_is_built_once_and_cached() {
-        instrument::reset();
+        counters::reset();
         let b = batch();
         b.index(&[0, 1]);
         b.index(&[0, 1]);
-        assert_eq!(instrument::index_builds(), 1);
+        assert_eq!(counters::index_builds(), 1);
         let k = JoinKey::new(vec![Value::Int(1), Value::str("x")]);
         assert_eq!(probe_len(&b, &[0, 1], k), 2);
     }
@@ -738,15 +732,15 @@ mod tests {
     /// the clone is visible to (and cached by) the original.
     #[test]
     fn clones_share_tuples_and_indexes() {
-        instrument::reset();
+        counters::reset();
         let b = batch();
         let renamed = b
             .clone()
             .with_schema(Schema::of(&[("x", DataType::Int), ("y", DataType::Str)]));
-        assert_eq!(instrument::deep_copies(), 0);
+        assert_eq!(counters::deep_copies(), 0);
         renamed.index(&[0]);
         b.index(&[0]); // cache hit through the shared map
-        assert_eq!(instrument::index_builds(), 1);
+        assert_eq!(counters::index_builds(), 1);
         assert_eq!(renamed.schema().names(), vec!["x", "y"]);
         assert_eq!(b.schema().names(), vec!["a", "b"]);
     }
@@ -756,12 +750,12 @@ mod tests {
     /// length and its index contents.
     #[test]
     fn append_under_sharing_detaches_view_safely() {
-        instrument::reset();
+        counters::reset();
         let mut b = batch();
         let view = b.clone();
         let view_idx = view.index(&[0]);
         assert!(b.insert_if_new(Tuple::of((7, "q"))).is_some());
-        assert!(instrument::deep_copies() > 0, "shared append must COW");
+        assert!(counters::deep_copies() > 0, "shared append must COW");
         assert_eq!(view.len(), 4);
         assert_eq!(b.len(), 5);
         // The view's index never saw the appended row.
@@ -774,13 +768,13 @@ mod tests {
     /// Sole-owner appends stay in place: no storage copies.
     #[test]
     fn unshared_append_is_in_place() {
-        instrument::reset();
+        counters::reset();
         let mut b = batch();
         b.index(&[0]);
         for i in 10..60 {
             assert!(b.insert_if_new(Tuple::of((i, "n"))).is_some());
         }
-        assert_eq!(instrument::deep_copies(), 0);
+        assert_eq!(counters::deep_copies(), 0);
         assert_eq!(b.len(), 54);
     }
 
@@ -788,10 +782,10 @@ mod tests {
     /// columns; it is a conversion, not a (counted) storage deep copy.
     #[test]
     fn into_tuples_materializes_without_deep_copy() {
-        instrument::reset();
+        counters::reset();
         let b = batch();
         assert_eq!(b.into_tuples().len(), 4);
-        assert_eq!(instrument::deep_copies(), 0);
+        assert_eq!(counters::deep_copies(), 0);
     }
 
     #[test]

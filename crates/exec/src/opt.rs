@@ -35,12 +35,11 @@
 //! Everything here is advisory for *performance* only: estimates may be
 //! wrong (EXPLAIN ANALYZE's q-error reports by how much), but plan
 //! rewrites preserve results exactly, and every fallible step falls
-//! back to the syntactic plan. The whole pass is gated by the process-
-//! wide toggle ([`set_optimizer_enabled`], the CLI's `--no-opt`) and by
-//! the explicit [`OptConfig`] the `*_with` planner entry points take.
+//! back to the syntactic plan. The whole pass is gated by the explicit
+//! [`OptConfig`] every planner entry point takes (the CLI's `--no-opt`
+//! builds [`OptConfig::unoptimized`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use relviz_datalog::{Atom, Literal, Program, Rule, Term};
@@ -52,27 +51,12 @@ use crate::plan::{OutputCol, PhysPlan};
 use crate::slots::Source;
 
 // ---------------------------------------------------------------------
-// Optimizer toggle
+// Optimizer configuration
 // ---------------------------------------------------------------------
 
-/// Process-wide optimizer switch (the CLI's `--no-opt`). Defaults on.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables/disables the optimizer process-wide (`relviz run --no-opt`).
-/// Tests should prefer the explicit [`OptConfig`] planner entry points,
-/// which don't race across threads.
-pub fn set_optimizer_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the optimizer is enabled process-wide.
-pub fn optimizer_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Which optimizations a planning run applies. The plain `plan_*` entry
-/// points use [`OptConfig::current`]; the `*_with` variants take this
-/// explicitly so A/B tests don't touch process state.
+/// Which optimizations a planning run applies. Every planner entry
+/// point takes it explicitly, so concurrent requests and A/B tests
+/// never share a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Cost-based reordering of hash-join chains and rule bodies.
@@ -90,15 +74,6 @@ impl OptConfig {
     /// Everything off — the syntactic plans.
     pub fn unoptimized() -> OptConfig {
         OptConfig { reorder: false, magic: false }
-    }
-
-    /// The process-wide setting (see [`set_optimizer_enabled`]).
-    pub fn current() -> OptConfig {
-        if optimizer_enabled() {
-            OptConfig::optimized()
-        } else {
-            OptConfig::unoptimized()
-        }
     }
 }
 
@@ -1484,15 +1459,5 @@ mod tests {
         let a3 = Atom::new("tiny", vec![Term::var("C"), Term::var("D")]);
         let order = order_atoms(&[&a1, &a2, &a3], None, &Source::from(&db), &HashMap::new());
         assert_eq!(order.first(), Some(&2), "tiny atom leads: {order:?}");
-    }
-
-    #[test]
-    fn toggle_roundtrip() {
-        assert!(optimizer_enabled());
-        set_optimizer_enabled(false);
-        assert!(!optimizer_enabled());
-        set_optimizer_enabled(true);
-        assert!(optimizer_enabled());
-        assert_eq!(OptConfig::current(), OptConfig::optimized());
     }
 }

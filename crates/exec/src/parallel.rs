@@ -1,6 +1,9 @@
-//! `Engine::Parallel` — the **partitioned parallel runtime** over the
+//! The **partitioned parallel runtime**: the physical engine
+//! ([`crate::Engine::Indexed`]) at a worker width above one, over the
 //! same plans, the same operators, and the same shared-storage batches
-//! as `Engine::Indexed`.
+//! as the serial path. A call's width comes from its
+//! [`crate::ExecOptions`]; [`execute_parallel`] and
+//! [`eval_fixpoint_parallel`] are the executors every entry point calls.
 //!
 //! Three axes of parallelism, all scoped through the tiny
 //! work-stealing-free pool ([`crate::pool`]):
@@ -26,16 +29,16 @@
 //!    them run level-by-level in parallel
 //!    ([`crate::fixpoint::stratum_levels`]).
 //!
-//! **Determinism guarantee.** For every query, `Engine::Parallel`
-//! produces results bit-identical to `Engine::Indexed` at any thread
-//! count: partitioned probes reproduce the serial tuple order exactly,
-//! round barriers make rule merges order-independent at the fixpoint,
-//! and the final set-semantics [`Relation`] (a `BTreeSet` under the
-//! total order of values) is the anchor every suite pins 16× over
+//! **Determinism guarantee.** For every query, every width produces
+//! results bit-identical to the serial path: partitioned probes
+//! reproduce the serial tuple order exactly, round barriers make rule
+//! merges order-independent at the fixpoint, and the final
+//! set-semantics [`Relation`] (a `BTreeSet` under the total order of
+//! values) is the anchor every suite pins 16× over
 //! (`tests/determinism.rs`).
 //!
-//! A **one-thread run degenerates to the serial operator path**: no
-//! pool dispatch, no partition builds — pinned by counter tests below.
+//! A **one-worker run is the serial operator path**: no pool dispatch,
+//! no partition builds — pinned by counter tests below.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -76,8 +79,8 @@ const MAX_ENV_THREADS: usize = 1024;
 ///
 /// This is the only place the environment is read, and callers should
 /// read it **once per request, at request construction** — resolve the
-/// width up front and carry the explicit count (`Engine::Parallel(n)`
-/// with `n ≥ 1` resolves verbatim). A long-lived server resolving the
+/// width up front and carry the explicit count (`ExecOptions::threads`
+/// of `n ≥ 1` resolves verbatim). A long-lived server resolving the
 /// env per *operator* would race any concurrent mutation of the
 /// process-global environment; resolving per request makes each
 /// request's width a plain value. Tests exercise the policy through the
@@ -123,25 +126,34 @@ fn warn_bad_env(value: &str) {
     });
 }
 
-/// Executes a plain plan on the parallel runtime: independent `Shared`
+/// Executes a plain plan at `threads` workers: independent `Shared`
 /// sub-plans prewarm concurrently, operators take their partitioned
 /// paths past [`PAR_MIN_ROWS`], and the final sort splits across
-/// workers. `threads <= 1` degenerates to the serial operator path.
+/// workers. `threads <= 1` is the serial operator path.
 pub fn execute_parallel<'a>(
     plan: &PhysPlan,
     db: impl Into<Source<'a>>,
     threads: usize,
 ) -> ExecResult<Relation> {
-    let src = db.into();
-    let threads = threads.max(1);
-    let ctx = ExecContext::with_threads(threads);
-    prewarm_shared(plan, &src, &ctx, threads)?;
-    let batch = run_with(plan, &src, None, &ctx)?;
+    execute_in(plan, &db.into(), &ExecContext::with_threads(threads))
+}
+
+/// [`execute_parallel`]'s body, at the width `ctx` was built with (the
+/// analyzed path passes a context carrying its stats sink).
+pub(crate) fn execute_in(
+    plan: &PhysPlan,
+    src: &Source<'_>,
+    ctx: &ExecContext,
+) -> ExecResult<Relation> {
+    let threads = ctx.threads().unwrap_or(1);
+    prewarm_shared(plan, src, ctx, threads)?;
+    let batch = run_with(plan, src, None, ctx)?;
     Ok(into_relation_par(batch, threads, ctx.pool_stats()))
 }
 
-/// Evaluates a recursive plan on the parallel runtime (independent
-/// strata per DAG level, parallel rules per round, partitioned joins).
+/// Evaluates a recursive plan at `threads` workers (independent strata
+/// per DAG level, parallel rules per round, partitioned joins);
+/// `threads <= 1` is the sequential fixpoint.
 pub fn eval_fixpoint_parallel<'a>(
     plan: &FixpointPlan,
     db: impl Into<Source<'a>>,
@@ -298,19 +310,11 @@ fn merge_sorted(store: &ColumnStore, runs: Vec<Vec<RowId>>, out: &mut Vec<RowId>
     }
 }
 
-/// The parallel-path event counters (round-barrier merges, pool
-/// dispatches, fan-out). Formerly a `cfg(test)`-only module here; now
-/// the always-compiled unified counter set in
-/// [`crate::stats::counters`], re-exported under the legacy path so the
-/// degeneration/zero-copy pin tests read the same source of truth
-/// production does.
-pub(crate) use crate::stats::counters as instrument;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexed::instrument as idx;
-    use crate::{eval_datalog, eval_ra, eval_trc, Engine};
+    use crate::stats::counters;
+    use crate::{eval_datalog_with, eval_ra_with, eval_trc_with, Engine, ExecOptions};
     use relviz_model::generate::{generate_binary_pair, generate_sailors, GenConfig};
     use relviz_model::{DataType, Schema};
 
@@ -326,6 +330,11 @@ mod tests {
         generate_sailors(&GenConfig { seed: 0xBEEF, sailors: 1500, boats: 40, reservations: 2200 })
     }
 
+    /// The physical engine at `threads` workers, optimizer on.
+    fn width(threads: usize) -> ExecOptions {
+        ExecOptions { threads, ..ExecOptions::default() }
+    }
+
     /// The determinism anchor, asserted at its strongest: not just the
     /// same set, the same bytes.
     fn assert_bit_identical(a: &relviz_model::Relation, b: &relviz_model::Relation) {
@@ -333,18 +342,19 @@ mod tests {
         assert_eq!(format!("{a}"), format!("{b}"), "renderings must be byte-identical");
     }
 
-    /// A 1-thread parallel run takes, by construction, the serial
-    /// operator path: zero pool dispatches, zero partition builds.
+    /// A one-worker run of the width-taking executor takes, by
+    /// construction, the serial operator path: zero pool dispatches,
+    /// zero partition builds.
     #[test]
     fn one_thread_run_degenerates_to_the_serial_path() {
         let db = big_db();
         let e = relviz_ra::parse::parse_ra(BIG_JOIN).unwrap();
-        instrument::reset();
-        idx::reset();
-        let par = eval_ra(Engine::Parallel(1), &e, &db).unwrap();
-        assert_eq!(instrument::dispatches(), 0, "no pool dispatch at 1 thread");
-        assert_eq!(idx::partition_builds(), 0, "no partition builds at 1 thread");
-        let serial = eval_ra(Engine::Indexed, &e, &db).unwrap();
+        counters::reset();
+        let one = ExecOptions { threads: 1, ..ExecOptions::default() };
+        let par = eval_ra_with(Engine::Indexed, &e, &db, one).unwrap();
+        assert_eq!(counters::dispatches(), 0, "no pool dispatch at 1 thread");
+        assert_eq!(counters::partition_builds(), 0, "no partition builds at 1 thread");
+        let serial = eval_ra_with(Engine::Indexed, &e, &db, ExecOptions::default()).unwrap();
         assert_bit_identical(&par, &serial);
     }
 
@@ -354,17 +364,16 @@ mod tests {
     fn partitioned_join_engages_and_matches_serial() {
         let db = big_db();
         let e = relviz_ra::parse::parse_ra(BIG_JOIN).unwrap();
-        instrument::reset();
-        idx::reset();
-        let par = eval_ra(Engine::Parallel(4), &e, &db).unwrap();
-        assert!(instrument::dispatches() > 0, "pool must have dispatched");
-        assert_eq!(instrument::max_fanout(), 4);
+        counters::reset();
+        let par = eval_ra_with(Engine::Indexed, &e, &db, width(4)).unwrap();
+        assert!(counters::dispatches() > 0, "pool must have dispatched");
+        assert_eq!(counters::max_fanout(), 4);
         assert_eq!(
-            idx::partition_builds(),
+            counters::partition_builds(),
             4,
             "the build side is indexed as exactly one hash-range partition per worker"
         );
-        let serial = eval_ra(Engine::Indexed, &e, &db).unwrap();
+        let serial = eval_ra_with(Engine::Indexed, &e, &db, ExecOptions::default()).unwrap();
         assert_bit_identical(&par, &serial);
     }
 
@@ -376,13 +385,13 @@ mod tests {
     fn parallel_fixpoint_introduces_no_deep_copies() {
         let db = generate_binary_pair(11, 1500, 600);
         let prog = relviz_datalog::parse::parse_program(TC).unwrap();
-        idx::reset();
-        instrument::reset();
-        let par = eval_datalog(Engine::Parallel(4), &prog, &db).unwrap();
-        assert_eq!(idx::deep_copies(), 0, "no full-IDB copies on the parallel path");
-        assert_eq!(idx::materializations(), 1, "R still scanned into a batch once");
-        assert!(instrument::dispatches() > 0, "the parallel path must have engaged");
-        let serial = eval_datalog(Engine::Indexed, &prog, &db).unwrap();
+        counters::reset();
+        let par = eval_datalog_with(Engine::Indexed, &prog, &db, width(4)).unwrap();
+        assert_eq!(counters::deep_copies(), 0, "no full-IDB copies on the parallel path");
+        assert_eq!(counters::materializations(), 1, "R still scanned into a batch once");
+        assert!(counters::dispatches() > 0, "the parallel path must have engaged");
+        let serial =
+            eval_datalog_with(Engine::Indexed, &prog, &db, ExecOptions::default()).unwrap();
         assert_bit_identical(&par, &serial);
     }
 
@@ -400,14 +409,15 @@ mod tests {
              sg(X, Y) :- R(XP, X), sg(XP, YP), R(YP, Y).",
         )
         .unwrap();
-        instrument::reset();
-        let par = eval_datalog(Engine::Parallel(4), &prog, &db).unwrap();
+        counters::reset();
+        let par = eval_datalog_with(Engine::Indexed, &prog, &db, width(4)).unwrap();
         assert!(
-            instrument::merges() >= 3,
+            counters::merges() >= 3,
             "round 0 merges all three rule outputs through the barrier, got {}",
-            instrument::merges()
+            counters::merges()
         );
-        let serial = eval_datalog(Engine::Indexed, &prog, &db).unwrap();
+        let serial =
+            eval_datalog_with(Engine::Indexed, &prog, &db, ExecOptions::default()).unwrap();
         assert_bit_identical(&par, &serial);
     }
 
@@ -421,8 +431,8 @@ mod tests {
              not exists r in Reserves: (r.sid = s.sid and r.bid = b.bid))}",
         )
         .unwrap();
-        let par = eval_trc(Engine::Parallel(4), &q, &db).unwrap();
-        let serial = eval_trc(Engine::Indexed, &q, &db).unwrap();
+        let par = eval_trc_with(Engine::Indexed, &q, &db, width(4)).unwrap();
+        let serial = eval_trc_with(Engine::Indexed, &q, &db, ExecOptions::default()).unwrap();
         assert_bit_identical(&par, &serial);
     }
 

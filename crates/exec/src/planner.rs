@@ -297,15 +297,9 @@ pub(crate) fn shared_levels(plan: &PhysPlan) -> Vec<Vec<(u32, &PhysPlan)>> {
 // RA → physical plan
 // ---------------------------------------------------------------------------
 
-/// Lowers a Relational Algebra expression (type-checking it first),
-/// under the process-wide optimizer setting.
-pub fn plan_ra<'a>(expr: &RaExpr, db: impl Into<Source<'a>>) -> ExecResult<PhysPlan> {
-    plan_ra_with(expr, db, crate::opt::OptConfig::current())
-}
-
-/// [`plan_ra`] with an explicit optimizer configuration: `cfg.reorder`
-/// runs the cost-based join reordering pass ([`crate::opt`]) between
-/// lowering and the common-subplan pass.
+/// Lowers a Relational Algebra expression (type-checking it first).
+/// `cfg.reorder` runs the cost-based join reordering pass
+/// ([`crate::opt`]) between lowering and the common-subplan pass.
 pub fn plan_ra_with<'a>(
     expr: &RaExpr,
     db: impl Into<Source<'a>>,
@@ -711,15 +705,9 @@ fn mangle(var: &str, attr: &str) -> String {
     format!("{var}__{attr}")
 }
 
-/// Lowers a (checked) TRC query under the process-wide optimizer
-/// setting. `∀` is eliminated as `¬∃¬` first; `∃`-nests become
-/// semi-joins, `¬∃`-nests anti-joins.
-pub fn plan_trc<'a>(q: &TrcQuery, db: impl Into<Source<'a>>) -> ExecResult<PhysPlan> {
-    plan_trc_with(q, db, crate::opt::OptConfig::current())
-}
-
-/// [`plan_trc`] with an explicit optimizer configuration (see
-/// [`plan_ra_with`]).
+/// Lowers a (checked) TRC query. `∀` is eliminated as `¬∃¬` first;
+/// `∃`-nests become semi-joins, `¬∃`-nests anti-joins. `cfg` as for
+/// [`plan_ra_with`].
 pub fn plan_trc_with<'a>(
     q: &TrcQuery,
     db: impl Into<Source<'a>>,
@@ -937,6 +925,7 @@ fn outer_refs(f: &TrcFormula, schema: &Schema, out: &mut std::collections::BTree
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::OptConfig;
     use crate::plan::explain;
     use crate::run::execute;
     use relviz_model::catalog::sailors_sample;
@@ -950,7 +939,7 @@ mod tests {
         .unwrap();
         // As written this is σ over ×; the optimizer fuses them first.
         let fused = relviz_ra::rewrite::optimize(&e);
-        let plan = plan_ra(&fused, &db).unwrap();
+        let plan = plan_ra_with(&fused, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
         assert!(text.contains("HashJoin [s_sid=sid]"), "{text}");
         assert!(text.contains("filter bid = 102") || text.contains("Filter bid = 102"), "{text}");
@@ -963,7 +952,7 @@ mod tests {
             "{s.sname | Sailor(s) and exists r in Reserves: (r.sid = s.sid and r.bid = 102)}",
         )
         .unwrap();
-        let plan = plan_trc(&q, &db).unwrap();
+        let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
         // Decorrelated on exactly the referenced outer column.
         assert!(text.contains("SemiJoin [s__sid]"), "{text}");
@@ -977,7 +966,7 @@ mod tests {
             "{s.sname | Sailor(s) and not exists r in Reserves: (r.sid = s.sid)}",
         )
         .unwrap();
-        let plan = plan_trc(&q, &db).unwrap();
+        let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
         assert!(text.contains("AntiJoin [s__sid]"), "{text}");
         let out = execute(&plan, &db).unwrap();
@@ -991,7 +980,7 @@ mod tests {
             "Division(Project[sid, bid](Reserves), Project[bid](Select[color = 'red'](Boat)))",
         )
         .unwrap();
-        let plan = plan_ra(&e, &db).unwrap();
+        let plan = plan_ra_with(&e, &db, OptConfig::optimized()).unwrap();
         let ours = execute(&plan, &db).unwrap();
         let reference = relviz_ra::eval::eval(&e, &db).unwrap();
         assert!(ours.same_contents(&reference), "ours={ours}\nref={reference}");
@@ -1015,7 +1004,7 @@ mod tests {
         let q = relviz_rc::trc_parse::parse_trc("{r.a | R(r) and exists s in S: (s.a = r.a)}")
             .unwrap();
         let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
-        let ours = execute(&plan_trc(&q, &db).unwrap(), &db).unwrap();
+        let ours = execute(&plan_trc_with(&q, &db, OptConfig::optimized()).unwrap(), &db).unwrap();
         assert!(ours.same_contents(&reference), "ours={ours}\nref={reference}");
         assert_eq!(ours.len(), 2); // NaN finds its identical self
     }
@@ -1034,7 +1023,7 @@ mod tests {
              not exists r in Reserves: (r.sid = s.sid and r.bid = b.bid))}",
         )
         .unwrap();
-        let plan = plan_trc(&q, &db).unwrap();
+        let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
         assert!(text.contains("Shared #0\n"), "{text}");
         assert!(text.contains("Shared #0 ^"), "back-reference missing:\n{text}");
@@ -1052,7 +1041,7 @@ mod tests {
             "Division(Project[sid, bid](Reserves), Project[bid](Boat))",
         )
         .unwrap();
-        let plan = plan_ra(&e, &db).unwrap();
+        let plan = plan_ra_with(&e, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
         assert!(text.contains("Shared #"), "{text}");
         assert!(text.contains(" ^"), "{text}");
@@ -1065,13 +1054,13 @@ mod tests {
     fn plan_ra_type_errors_surface() {
         let db = sailors_sample();
         let e = relviz_ra::parse::parse_ra("Project[ghost](Sailor)").unwrap();
-        assert!(matches!(plan_ra(&e, &db), Err(ExecError::Ra(_))));
+        assert!(matches!(plan_ra_with(&e, &db, OptConfig::optimized()), Err(ExecError::Ra(_))));
     }
 
     #[test]
     fn boolean_trc_branch_is_rejected() {
         let db = sailors_sample();
         let q = TrcQuery { branches: vec![] };
-        assert!(plan_trc(&q, &db).is_err());
+        assert!(plan_trc_with(&q, &db, OptConfig::optimized()).is_err());
     }
 }

@@ -143,33 +143,34 @@ mod tests {
 
     #[test]
     fn single_worker_runs_inline_without_dispatch() {
-        crate::parallel::instrument::reset();
+        crate::stats::counters::reset();
         let out = scatter(1, 8, None, &|i| i + 1);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(crate::parallel::instrument::dispatches(), 0);
+        assert_eq!(crate::stats::counters::dispatches(), 0);
     }
 
     #[test]
     fn single_task_runs_inline_without_dispatch() {
-        crate::parallel::instrument::reset();
+        crate::stats::counters::reset();
         let out = scatter(8, 1, None, &|i| i);
         assert_eq!(out, vec![0]);
-        assert_eq!(crate::parallel::instrument::dispatches(), 0);
+        assert_eq!(crate::stats::counters::dispatches(), 0);
     }
 
     #[test]
     fn dispatch_and_fanout_are_counted() {
-        crate::parallel::instrument::reset();
+        crate::stats::counters::reset();
         let _ = scatter(3, 9, None, &|i| i);
-        assert_eq!(crate::parallel::instrument::dispatches(), 1);
-        assert_eq!(crate::parallel::instrument::max_fanout(), 3);
+        assert_eq!(crate::stats::counters::dispatches(), 1);
+        assert_eq!(crate::stats::counters::max_fanout(), 3);
     }
 
     #[test]
     fn worker_counters_flow_back_to_the_caller() {
-        use crate::indexed::{instrument as idx, IndexedRelation};
+        use crate::indexed::IndexedRelation;
+        use crate::stats::counters;
         use relviz_model::{DataType, Schema, Tuple};
-        idx::reset();
+        counters::reset();
         let batches: Vec<IndexedRelation> = (0..4)
             .map(|k| {
                 IndexedRelation::new(
@@ -181,7 +182,7 @@ mod tests {
         // Each worker builds one index; the builds happen on pool
         // threads but must be visible to this (the calling) thread.
         let _ = scatter(4, 4, None, &|i| batches[i].index(&[0]).len());
-        assert_eq!(idx::index_builds(), 4);
+        assert_eq!(counters::index_builds(), 4);
     }
 
     #[test]

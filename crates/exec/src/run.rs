@@ -64,7 +64,7 @@ pub(crate) struct FixpointState<'a> {
 /// its entries are never invalidated within an execution.
 ///
 /// The context also carries the execution's **parallelism**: `threads`
-/// is `Some(n >= 2)` only on the parallel engine. Plain plans take it
+/// is `Some(n >= 2)` only for a run above one worker. Plain plans take it
 /// as their operator width; fixpoint rule plans take their budget
 /// share from [`FixpointState::threads`] instead. Either way every
 /// operator consults the free [`par_over`] before leaving its serial
@@ -76,7 +76,7 @@ pub(crate) struct ExecContext {
     scans: Mutex<HashMap<String, IndexedRelation>>,
     /// `Shared` sub-plan id → its computed batch.
     subplans: Mutex<HashMap<u32, IndexedRelation>>,
-    /// Worker count of the parallel engine; `None` on the serial one.
+    /// Worker count above one; `None` on the serial operator path.
     threads: Option<usize>,
     /// The analysis sink (`EXPLAIN ANALYZE`); `None` — the common case —
     /// keeps every recording site a single branch on the disabled path.
@@ -88,8 +88,8 @@ impl ExecContext {
         ExecContext::default()
     }
 
-    /// A context for the parallel engine; `threads <= 1` yields a plain
-    /// serial context (the degeneration guarantee).
+    /// A context for a run at `threads` workers; `threads <= 1` yields a
+    /// plain serial context (the degeneration guarantee).
     pub(crate) fn with_threads(threads: usize) -> Self {
         ExecContext { threads: (threads > 1).then_some(threads), ..ExecContext::default() }
     }
@@ -122,7 +122,8 @@ impl ExecContext {
         self.stats.as_deref().and_then(|s| s.node(plan))
     }
 
-    /// Publishes a prewarmed `Shared` sub-plan batch (parallel engine).
+    /// Publishes a prewarmed `Shared` sub-plan batch (runs above one
+    /// worker).
     pub(crate) fn insert_subplan(&self, id: u32, batch: IndexedRelation) {
         self.subplans.lock().entry(id).or_insert(batch);
     }
@@ -870,89 +871,91 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// Microbenchmark entry points (stable kernels, no plan tree)
-// ---------------------------------------------------------------------------
-
-/// The serial vectorized filter kernel over a whole batch — the unit
-/// the per-operator benchmark rows measure against their row-major
-/// baselines (see `benches/s1_exec.rs`). Not public API.
+/// Microbenchmark entry points: the stable kernels with no plan tree
+/// around them, for the per-operator rows of the `s1_exec` bench
+/// binary. Not public API.
 #[doc(hidden)]
-pub fn bench_filter(batch: &IndexedRelation, pred: &Predicate) -> ExecResult<IndexedRelation> {
-    let compiled = compile_pred(pred, batch.schema())?;
-    let store = batch.store();
-    let bm = eval_pred_bitmap(&compiled, store, &(0..store.len()));
-    let mut rows = Vec::with_capacity(bm.count_ones());
-    bm.collect_ones(0, &mut rows);
-    Ok(IndexedRelation::from_store(batch.schema().clone(), store.gather(&rows)))
-}
+pub mod bench {
+    use super::*;
 
-/// The zero-copy projection kernel. Not public API.
-#[doc(hidden)]
-pub fn bench_project(
-    batch: &IndexedRelation,
-    cols: &[OutputCol],
-    schema: Schema,
-) -> ExecResult<IndexedRelation> {
-    project_store(batch.store(), cols, schema)
-}
+    /// The serial vectorized filter kernel over a whole batch — the unit
+    /// the per-operator benchmark rows measure against their row-major
+    /// baselines.
+    pub fn filter(batch: &IndexedRelation, pred: &Predicate) -> ExecResult<IndexedRelation> {
+        let compiled = compile_pred(pred, batch.schema())?;
+        let store = batch.store();
+        let bm = eval_pred_bitmap(&compiled, store, &(0..store.len()));
+        let mut rows = Vec::with_capacity(bm.count_ones());
+        bm.collect_ones(0, &mut rows);
+        Ok(IndexedRelation::from_store(batch.schema().clone(), store.gather(&rows)))
+    }
 
-/// The serial hash-join probe + output assembly over a prebuilt flat
-/// index (`right.index(right_keys)` — cached, so repeated timing loops
-/// measure the probe, not the build). Emits the full-width
-/// `left ++ right` output. Not public API.
-#[doc(hidden)]
-pub fn bench_hashjoin_probe(
-    left: &IndexedRelation,
-    right: &IndexedRelation,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> ExecResult<IndexedRelation> {
-    check_cols(left_keys, left.schema().arity(), "probe left key")?;
-    check_cols(right_keys, right.schema().arity(), "probe right key")?;
-    let rindex = right.index(right_keys);
-    let (lstore, rstore) = (left.store(), right.store());
-    let mut lrows: Vec<RowId> = Vec::new();
-    let mut rrows: Vec<RowId> = Vec::new();
-    let mut key = JoinKey::with_capacity(left_keys.len());
-    for a in 0..lstore.len() {
-        key.refill_from(lstore, a, left_keys);
-        let Some(rows) = rindex.get(&key) else { continue };
-        for &b in rows {
-            lrows.push(row_id(a));
-            rrows.push(b);
+    /// The zero-copy projection kernel.
+    pub fn project(
+        batch: &IndexedRelation,
+        cols: &[OutputCol],
+        schema: Schema,
+    ) -> ExecResult<IndexedRelation> {
+        project_store(batch.store(), cols, schema)
+    }
+
+    /// The serial hash-join probe + output assembly over a prebuilt flat
+    /// index (`right.index(right_keys)` — cached, so repeated timing loops
+    /// measure the probe, not the build). Emits the full-width
+    /// `left ++ right` output.
+    pub fn hashjoin_probe(
+        left: &IndexedRelation,
+        right: &IndexedRelation,
+        left_keys: &[usize],
+        right_keys: &[usize],
+    ) -> ExecResult<IndexedRelation> {
+        check_cols(left_keys, left.schema().arity(), "probe left key")?;
+        check_cols(right_keys, right.schema().arity(), "probe right key")?;
+        let rindex = right.index(right_keys);
+        let (lstore, rstore) = (left.store(), right.store());
+        let mut lrows: Vec<RowId> = Vec::new();
+        let mut rrows: Vec<RowId> = Vec::new();
+        let mut key = JoinKey::with_capacity(left_keys.len());
+        for a in 0..lstore.len() {
+            key.refill_from(lstore, a, left_keys);
+            let Some(rows) = rindex.get(&key) else { continue };
+            for &b in rows {
+                lrows.push(row_id(a));
+                rrows.push(b);
+            }
         }
-    }
-    let mut attrs = left.schema().attrs().to_vec();
-    for a in right.schema().attrs() {
-        let mut a = a.clone();
-        // Bench inputs may share attribute names (e.g. the join key);
-        // disambiguate like SQL's `t.col` would.
-        if attrs.iter().any(|l| l.name == a.name) {
-            a.name = format!("r_{}", a.name);
+        let mut attrs = left.schema().attrs().to_vec();
+        for a in right.schema().attrs() {
+            let mut a = a.clone();
+            // Bench inputs may share attribute names (e.g. the join key);
+            // disambiguate like SQL's `t.col` would.
+            if attrs.iter().any(|l| l.name == a.name) {
+                a.name = format!("r_{}", a.name);
+            }
+            attrs.push(a);
         }
-        attrs.push(a);
+        let schema = Schema::new(attrs).map_err(|e| ExecError::Eval(e.to_string()))?;
+        let mut columns: Vec<Arc<Column>> =
+            (0..lstore.arity()).map(|i| Arc::new(lstore.col(i).gather(&lrows))).collect();
+        for i in 0..rstore.arity() {
+            columns.push(Arc::new(rstore.col(i).gather(&rrows)));
+        }
+        Ok(IndexedRelation::from_store(schema, ColumnStore::from_columns(columns, lrows.len())))
     }
-    let schema = Schema::new(attrs).map_err(|e| ExecError::Eval(e.to_string()))?;
-    let mut columns: Vec<Arc<Column>> =
-        (0..lstore.arity()).map(|i| Arc::new(lstore.col(i).gather(&lrows))).collect();
-    for i in 0..rstore.arity() {
-        columns.push(Arc::new(rstore.col(i).gather(&rrows)));
-    }
-    Ok(IndexedRelation::from_store(schema, ColumnStore::from_columns(columns, lrows.len())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_ra, plan_trc};
+    use crate::opt::OptConfig;
+    use crate::planner::{plan_ra_with, plan_trc_with};
     use relviz_model::catalog::sailors_sample;
 
     fn check_ra(src: &str) {
         let db = sailors_sample();
         let e = relviz_ra::parse::parse_ra(src).unwrap();
         let reference = relviz_ra::eval::eval(&e, &db).unwrap();
-        let ours = execute(&plan_ra(&e, &db).unwrap(), &db).unwrap();
+        let ours = execute(&plan_ra_with(&e, &db, OptConfig::optimized()).unwrap(), &db).unwrap();
         assert!(ours.same_contents(&reference), "`{src}`\nours={ours}\nref={reference}");
     }
 
@@ -986,7 +989,7 @@ mod tests {
         )
         .unwrap();
         let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
-        let ours = execute(&plan_trc(&q, &db).unwrap(), &db).unwrap();
+        let ours = execute(&plan_trc_with(&q, &db, OptConfig::optimized()).unwrap(), &db).unwrap();
         assert!(ours.same_contents(&reference), "ours={ours}\nref={reference}");
         assert_eq!(ours.len(), 2);
     }
@@ -1000,7 +1003,7 @@ mod tests {
         )
         .unwrap();
         let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
-        let ours = execute(&plan_trc(&q, &db).unwrap(), &db).unwrap();
+        let ours = execute(&plan_trc_with(&q, &db, OptConfig::optimized()).unwrap(), &db).unwrap();
         assert!(ours.same_contents(&reference));
     }
 
@@ -1009,7 +1012,7 @@ mod tests {
         let db = sailors_sample();
         let q = relviz_rc::trc_parse::parse_trc("{s.sname, 'tag' | Sailor(s)}").unwrap();
         let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
-        let ours = execute(&plan_trc(&q, &db).unwrap(), &db).unwrap();
+        let ours = execute(&plan_trc_with(&q, &db, OptConfig::optimized()).unwrap(), &db).unwrap();
         assert!(ours.same_contents(&reference));
         assert_eq!(ours.schema().arity(), 2);
     }
@@ -1057,7 +1060,7 @@ mod tests {
     /// built exactly once per execution.
     #[test]
     fn repeated_scans_materialize_and_index_once() {
-        use crate::indexed::instrument;
+        use crate::stats::counters;
         let db = sailors_sample();
         let scan = |rel: &str| PhysPlan::Scan {
             rel: rel.into(),
@@ -1073,25 +1076,25 @@ mod tests {
         // Sailor ⋉ Reserves ⋉ Reserves: `Reserves` appears twice, both
         // sides keyed on column 0.
         let plan = semi(semi(scan("Sailor"), scan("Reserves")), scan("Reserves"));
-        instrument::reset();
+        counters::reset();
         let out = run(&plan, &db).unwrap();
         assert_eq!(out.len(), 4); // sailors holding a reservation
         assert_eq!(
-            instrument::materializations(),
+            counters::materializations(),
             2,
             "Sailor once, Reserves once — not once per Scan leaf"
         );
         assert_eq!(
-            instrument::index_builds(),
+            counters::index_builds(),
             1,
             "the [0] index on Reserves must be built once and shared"
         );
         assert_eq!(
-            instrument::column_builds(),
+            counters::column_builds(),
             db.schema("Sailor").unwrap().arity() + db.schema("Reserves").unwrap().arity(),
             "each column columnarized exactly once — semi-join outputs gather, not rebuild"
         );
-        assert_eq!(instrument::deep_copies(), 0);
+        assert_eq!(counters::deep_copies(), 0);
     }
 
     /// A `Shared` sub-plan executes once; every other occurrence gets a
@@ -1099,7 +1102,7 @@ mod tests {
     /// re-columnarization — Union concatenates the cached columns).
     #[test]
     fn shared_subplan_runs_once() {
-        use crate::indexed::instrument;
+        use crate::stats::counters;
         let db = sailors_sample();
         let expensive = PhysPlan::Dedup {
             schema: db.schema("Reserves").unwrap().clone(),
@@ -1118,17 +1121,17 @@ mod tests {
             left: Box::new(shared(0)),
             right: Box::new(shared(0)),
         };
-        instrument::reset();
+        counters::reset();
         let out = run(&plan, &db).unwrap();
         let reserves = db.relation("Reserves").unwrap().len();
         assert_eq!(out.len(), 2 * reserves);
-        assert_eq!(instrument::materializations(), 1, "sub-plan must run once");
+        assert_eq!(counters::materializations(), 1, "sub-plan must run once");
         assert_eq!(
-            instrument::column_builds(),
+            counters::column_builds(),
             db.schema("Reserves").unwrap().arity(),
             "the shared sub-plan's columns are built once, by its one Scan"
         );
-        assert_eq!(instrument::deep_copies(), 0);
+        assert_eq!(counters::deep_copies(), 0);
     }
 
     /// The zero-copy projection really is zero-copy: the output's
@@ -1141,7 +1144,7 @@ mod tests {
             schema: db.schema("Sailor").unwrap().clone(),
         };
         let batch = run(&scan, &db).unwrap();
-        let projected = bench_project(
+        let projected = bench::project(
             &batch,
             &[OutputCol::Pos(1), OutputCol::Pos(0)],
             Schema::of(&[
@@ -1165,18 +1168,18 @@ mod tests {
     /// the kernel never silently degrades to per-row allocation.
     #[test]
     fn filter_allocates_bitmaps_per_leaf_not_per_row() {
-        use crate::indexed::instrument;
+        use crate::stats::counters;
         let db = sailors_sample();
         let e = relviz_ra::parse::parse_ra(
             "Select[NOT (color = 'red' OR color = 'green')](Boat)",
         )
         .unwrap();
-        let plan = plan_ra(&e, &db).unwrap();
-        instrument::reset();
+        let plan = plan_ra_with(&e, &db, OptConfig::optimized()).unwrap();
+        counters::reset();
         let out = run(&plan, &db).unwrap();
         assert!(!out.is_empty());
         // Two Cmp leaves → 2 bitmaps; OR and NOT mutate in place.
-        assert_eq!(instrument::bitmap_allocs(), 2);
+        assert_eq!(counters::bitmap_allocs(), 2);
     }
 
     /// The microbench kernels agree with the executor's operators.
@@ -1193,7 +1196,7 @@ mod tests {
             relviz_model::CmpOp::Gt,
             Operand::val(7),
         );
-        let filtered = bench_filter(&sailors, &pred).unwrap();
+        let filtered = bench::filter(&sailors, &pred).unwrap();
         let via_plan = run(
             &PhysPlan::Filter {
                 pred: pred.clone(),
@@ -1206,7 +1209,7 @@ mod tests {
         assert_eq!(filtered.to_tuples(), via_plan.to_tuples());
 
         let reserves = run(&scan("Reserves"), &db).unwrap();
-        let joined = bench_hashjoin_probe(&sailors, &reserves, &[0], &[0]).unwrap();
+        let joined = bench::hashjoin_probe(&sailors, &reserves, &[0], &[0]).unwrap();
         // Sailor ⋈ Reserves on sid: every reservation pairs with its sailor.
         assert_eq!(joined.len(), db.relation("Reserves").unwrap().len());
         assert_eq!(joined.schema().arity(), 4 + 3);

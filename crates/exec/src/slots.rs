@@ -157,7 +157,7 @@ impl<'a, 'b> From<&'b Source<'a>> for Source<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexed::instrument;
+    use crate::stats::counters;
     use relviz_model::catalog::sailors_sample;
 
     /// How many slots hold a materialized batch.
@@ -183,17 +183,17 @@ mod tests {
             0,
             "creating slots materializes nothing"
         );
-        instrument::reset();
+        counters::reset();
         let first = Source::new(&db, &slots).batch("Sailor").expect("stored");
         let again = Source::new(&db, &slots)
             .batch("sailor")
             .expect("case-insensitive");
-        assert_eq!(instrument::materializations(), 1);
+        assert_eq!(counters::materializations(), 1);
         assert_eq!(materialized(&slots), 1);
         first.index(&[0]);
         again.index(&[0]);
         assert_eq!(
-            instrument::index_builds(),
+            counters::index_builds(),
             1,
             "indexes are shared across reads"
         );
@@ -223,16 +223,16 @@ mod tests {
     #[test]
     fn per_call_sources_materialize_per_call() {
         let db = sailors_sample();
-        instrument::reset();
+        counters::reset();
         Source::from(&db).batch("Boat").expect("stored");
         Source::from(&db).batch("Boat").expect("stored");
-        assert_eq!(instrument::materializations(), 2);
+        assert_eq!(counters::materializations(), 2);
         let src = Source::from(&db);
         let view = Source::from(&src);
         view.batch("Boat").expect("stored");
         src.batch("Boat").expect("stored");
         assert_eq!(
-            instrument::materializations(),
+            counters::materializations(),
             3,
             "a borrowed view shares the slots"
         );

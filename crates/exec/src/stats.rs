@@ -9,9 +9,7 @@
 //!    `parallel.rs`; they are now **always compiled** (a thread-local
 //!    `Cell` bump on rare structural events, ~1 ns) so release builds,
 //!    the CLI and the benches read the same source of truth the
-//!    zero-copy pin tests do. The legacy paths
-//!    (`crate::indexed::instrument`, `crate::parallel::instrument`)
-//!    re-export this module, so existing tests compile unchanged.
+//!    zero-copy pin tests do.
 //!
 //! 2. [`QueryStats`] — a per-execution stats tree mirroring the
 //!    [`PhysPlan`]/[`FixpointPlan`] shape: per-operator rows in/out,
@@ -44,9 +42,10 @@ use relviz_model::Relation;
 
 use crate::error::{ExecError, ExecResult};
 use crate::fixpoint::FixpointPlan;
+use crate::opt::OptConfig;
 use crate::plan::PhysPlan;
 use crate::slots::Source;
-use crate::Engine;
+use crate::{Engine, ExecOptions};
 
 // ---------------------------------------------------------------------------
 // Tier 1: unified event counters
@@ -54,9 +53,8 @@ use crate::Engine;
 
 /// The crate's **event counters**: thread-local, always compiled, one
 /// `Cell` bump per rare structural event. The single source of truth
-/// behind `crate::indexed::instrument`, `crate::parallel::instrument`
-/// and the pool's dispatch counting — and the `counters` object of the
-/// stats JSON.
+/// behind the storage, fixpoint and pool event counts — and the
+/// `counters` object of the stats JSON.
 ///
 /// Thread locals, not globals, so `cargo test`'s parallel test threads
 /// don't pollute each other's readings; [`crate::pool::scatter`] hands
@@ -364,8 +362,8 @@ impl QueryStats {
     /// Registers every node of a plain plan, pre-order (mirrors
     /// [`PhysPlan::node_count`]: every `Shared` occurrence registers
     /// its full subtree — occurrences are distinct allocations).
-    pub(crate) fn for_plan(plan: &PhysPlan, engine: &'static str, threads: usize) -> QueryStats {
-        let mut stats = QueryStats::empty(engine, threads);
+    pub(crate) fn for_plan(plan: &PhysPlan, threads: usize, cfg: OptConfig) -> QueryStats {
+        let mut stats = QueryStats::empty(threads, cfg);
         stats.register(plan, 0, -1);
         stats
     }
@@ -373,12 +371,8 @@ impl QueryStats {
     /// Registers every rule plan of a fixpoint (full plan then delta
     /// variants, in stratum/rule order — mirroring both
     /// [`FixpointPlan::node_count`] and the EXPLAIN rendering order).
-    pub(crate) fn for_fixpoint(
-        plan: &FixpointPlan,
-        engine: &'static str,
-        threads: usize,
-    ) -> QueryStats {
-        let mut stats = QueryStats::empty(engine, threads);
+    pub(crate) fn for_fixpoint(plan: &FixpointPlan, threads: usize, cfg: OptConfig) -> QueryStats {
+        let mut stats = QueryStats::empty(threads, cfg);
         for stratum in &plan.strata {
             for rule in &stratum.rules {
                 stats.register(&rule.full, 0, -1);
@@ -390,28 +384,22 @@ impl QueryStats {
         stats
     }
 
-    fn empty(engine: &'static str, threads: usize) -> QueryStats {
+    /// An empty tree for a run at `threads` workers under `cfg`. The
+    /// engine label says which path ran: `exec` is the serial operator
+    /// path (one worker), `parallel` the partitioned one.
+    fn empty(threads: usize, cfg: OptConfig) -> QueryStats {
         QueryStats {
-            engine,
+            engine: if threads > 1 { "parallel" } else { "exec" },
             threads,
             ids: HashMap::new(),
             metas: Vec::new(),
             nodes: Vec::new(),
             ests: Vec::new(),
-            optimized: crate::opt::optimizer_enabled(),
+            optimized: cfg != OptConfig::unoptimized(),
             pool: PoolStats::new(threads),
             rounds: Mutex::new(Vec::new()),
             started: Instant::now(),
         }
-    }
-
-    /// Records which optimizer configuration this analysis actually ran
-    /// under. The constructor defaults to the process-wide toggle (the
-    /// CLI's one-shot behavior); the `*_with` analyzed entry points
-    /// override it with the request's explicit config so a concurrent
-    /// server reports each request's own plan mode.
-    pub(crate) fn set_config(&mut self, cfg: crate::opt::OptConfig) {
-        self.optimized = cfg != crate::opt::OptConfig::unoptimized();
     }
 
     fn register(&mut self, plan: &PhysPlan, depth: usize, parent: i64) {
@@ -831,126 +819,59 @@ impl StatsReport {
 // ---------------------------------------------------------------------------
 
 /// Runs a SQL query (through the SQL → TRC front door, like
-/// [`crate::run_sql`]) with **instrumentation enabled**, returning the
-/// result and the stats report. Requires a physical engine — the
-/// reference evaluator has no plan to instrument. Plans under the
-/// process-wide optimizer default ([`crate::opt::OptConfig::current`]).
-pub fn run_sql_analyzed<'a>(
-    engine: Engine,
-    sql: &str,
-    db: impl Into<Source<'a>>,
-) -> ExecResult<(Relation, StatsReport)> {
-    run_sql_analyzed_with(engine, sql, db, crate::opt::OptConfig::current())
-}
-
-/// [`run_sql_analyzed`] with an **explicit per-request optimizer
-/// configuration** — what a concurrent server threads through, so one
-/// request's `--no-opt` can't flip any other in-flight analysis.
+/// [`crate::run_sql_with`]) with **instrumentation enabled**, returning
+/// the result and the stats report. Requires the physical engine — the
+/// reference evaluator has no plan to instrument.
 pub fn run_sql_analyzed_with<'a>(
     engine: Engine,
     sql: &str,
     db: impl Into<Source<'a>>,
-    cfg: crate::opt::OptConfig,
+    opts: impl Into<ExecOptions>,
 ) -> ExecResult<(Relation, StatsReport)> {
     let src = db.into();
     let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, src.db())?;
-    let plan = crate::planner::plan_trc_with(&trc, &src, cfg)?;
-    analyze_plan(engine, &plan, &src, cfg)
+    eval_trc_analyzed_with(engine, &trc, src, opts)
 }
 
-/// Evaluates a TRC query with instrumentation enabled under an
-/// explicit per-request optimizer configuration — the server's analyze
-/// path for queries that arrive as TRC rather than SQL.
+/// Evaluates a TRC query with instrumentation enabled — the server's
+/// analyze path for queries that arrive as TRC rather than SQL.
 pub fn eval_trc_analyzed_with<'a>(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
     db: impl Into<Source<'a>>,
-    cfg: crate::opt::OptConfig,
+    opts: impl Into<ExecOptions>,
 ) -> ExecResult<(Relation, StatsReport)> {
+    let opts = opts.into();
+    let threads = analyzed_width(engine, opts)?;
     let src = db.into();
-    let plan = crate::planner::plan_trc_with(q, &src, cfg)?;
-    analyze_plan(engine, &plan, &src, cfg)
-}
-
-/// Executes a plain physical plan with instrumentation enabled.
-fn analyze_plan(
-    engine: Engine,
-    plan: &PhysPlan,
-    src: &Source<'_>,
-    cfg: crate::opt::OptConfig,
-) -> ExecResult<(Relation, StatsReport)> {
-    match engine {
-        Engine::Reference => Err(ExecError::Eval(
-            "EXPLAIN ANALYZE requires the exec or parallel engine \
-             (the reference evaluator has no physical plan to instrument)"
-                .to_string(),
-        )),
-        Engine::Indexed => {
-            let mut stats = QueryStats::for_plan(plan, "exec", 1);
-            stats.set_config(cfg);
-            stats.set_estimates(crate::opt::estimate_plan(plan, src));
-            let stats = Arc::new(stats);
-            let ctx = crate::run::ExecContext::new().with_stats(Arc::clone(&stats));
-            let batch = crate::run::run_with(plan, src, None, &ctx)?;
-            let rel = batch.into_relation();
-            Ok((rel, stats.report(plan)))
-        }
-        Engine::Parallel(t) => {
-            let threads = crate::parallel::resolve_threads(t).max(1);
-            let mut stats = QueryStats::for_plan(plan, "parallel", threads);
-            stats.set_config(cfg);
-            stats.set_estimates(crate::opt::estimate_plan(plan, src));
-            let stats = Arc::new(stats);
-            let ctx = crate::run::ExecContext::with_threads(threads)
-                .with_stats(Arc::clone(&stats));
-            crate::parallel::prewarm_shared(plan, src, &ctx, threads)?;
-            let batch = crate::run::run_with(plan, src, None, &ctx)?;
-            let rel = crate::parallel::into_relation_par(batch, threads, ctx.pool_stats());
-            Ok((rel, stats.report(plan)))
-        }
-    }
+    let plan = crate::planner::plan_trc_with(q, &src, opts.opt)?;
+    let mut stats = QueryStats::for_plan(&plan, threads, opts.opt);
+    stats.set_estimates(crate::opt::estimate_plan(&plan, &src));
+    let stats = Arc::new(stats);
+    let ctx = crate::run::ExecContext::with_threads(threads).with_stats(Arc::clone(&stats));
+    let rel = crate::parallel::execute_in(&plan, &src, &ctx)?;
+    Ok((rel, stats.report(&plan)))
 }
 
 /// Evaluates a Datalog program with instrumentation enabled, returning
 /// the answer predicate's relation and the stats report (per-operator
-/// actuals for every rule plan, plus the per-round delta table). Plans
-/// under the process-wide optimizer default.
-pub fn eval_datalog_analyzed<'a>(
-    engine: Engine,
-    program: &relviz_datalog::Program,
-    db: impl Into<Source<'a>>,
-) -> ExecResult<(Relation, StatsReport)> {
-    eval_datalog_analyzed_with(engine, program, db, crate::opt::OptConfig::current())
-}
-
-/// [`eval_datalog_analyzed`] with an explicit per-request optimizer
-/// configuration (see [`run_sql_analyzed_with`]).
+/// actuals for every rule plan, plus the per-round delta table).
 pub fn eval_datalog_analyzed_with<'a>(
     engine: Engine,
     program: &relviz_datalog::Program,
     db: impl Into<Source<'a>>,
-    cfg: crate::opt::OptConfig,
+    opts: impl Into<ExecOptions>,
 ) -> ExecResult<(Relation, StatsReport)> {
-    let (name, threads): (&'static str, usize) = match engine {
-        Engine::Reference => {
-            return Err(ExecError::Eval(
-                "EXPLAIN ANALYZE requires the exec or parallel engine \
-                 (the reference evaluator has no physical plan to instrument)"
-                    .to_string(),
-            ))
-        }
-        Engine::Indexed => ("exec", 1),
-        Engine::Parallel(t) => ("parallel", crate::parallel::resolve_threads(t).max(1)),
-    };
-    // Analysis runs the same pipeline `eval_datalog` does: with the
-    // optimizer on, the program is magic-transformed first, so the
-    // report shows what actually executed.
-    let transformed = if cfg.magic { crate::opt::magic_transform(program) } else { None };
+    let opts = opts.into();
+    let threads = analyzed_width(engine, opts)?;
+    // Analysis runs the same pipeline `eval_datalog_with` does: with
+    // magic sets on, the program is transformed first, so the report
+    // shows what actually executed.
+    let transformed = if opts.opt.magic { crate::opt::magic_transform(program) } else { None };
     let prog = transformed.as_ref().unwrap_or(program);
     let src = db.into();
-    let plan = crate::plan_datalog_with(prog, &src, cfg)?;
-    let mut stats = QueryStats::for_fixpoint(&plan, name, threads);
-    stats.set_config(cfg);
+    let plan = crate::plan_datalog_with(prog, &src, opts.opt)?;
+    let mut stats = QueryStats::for_fixpoint(&plan, threads, opts.opt);
     stats.set_estimates(crate::opt::estimate_fixpoint(&plan, &src));
     let stats = Arc::new(stats);
     let mut all =
@@ -961,14 +882,33 @@ pub fn eval_datalog_analyzed_with<'a>(
     Ok((rel, stats.report_fixpoint(&plan)))
 }
 
+/// The resolved worker count of an analyzed run, or the refusal for the
+/// reference engine, which has no physical plan to instrument.
+fn analyzed_width(engine: Engine, opts: ExecOptions) -> ExecResult<usize> {
+    match engine {
+        Engine::Reference => Err(ExecError::Eval(
+            "EXPLAIN ANALYZE requires the exec or parallel engine \
+             (the reference evaluator has no physical plan to instrument)"
+                .to_string(),
+        )),
+        Engine::Indexed => Ok(opts.width()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{eval_datalog_with, run_sql_with};
     use relviz_model::catalog::sailors_sample;
     use relviz_model::generate::generate_binary_pair;
 
     const TC: &str = "tc(X, Y) :- R(X, Y).\n\
                       tc(X, Z) :- tc(X, Y), R(Y, Z).";
+
+    /// The physical engine at `threads` workers, optimizer on.
+    fn wide(threads: usize) -> ExecOptions {
+        ExecOptions { threads, ..ExecOptions::default() }
+    }
 
     #[test]
     fn counters_export_absorb_roundtrip() {
@@ -988,8 +928,9 @@ mod tests {
         let db = sailors_sample();
         let sql = "SELECT S.sname FROM Sailor S, Reserves R \
                    WHERE S.sid = R.sid AND R.bid = 102";
-        let (rel, report) = run_sql_analyzed(Engine::Indexed, sql, &db).unwrap();
-        let plain = crate::run_sql(Engine::Indexed, sql, &db).unwrap();
+        let (rel, report) =
+            run_sql_analyzed_with(Engine::Indexed, sql, &db, ExecOptions::default()).unwrap();
+        let plain = run_sql_with(Engine::Indexed, sql, &db, ExecOptions::default()).unwrap();
         assert!(rel.same_contents(&plain));
         assert_eq!(report.engine, "exec");
         assert_eq!(report.threads, 1);
@@ -1015,8 +956,9 @@ mod tests {
     #[test]
     fn json_schema_is_stable_and_operator_count_matches() {
         let db = sailors_sample();
+        let sql = "SELECT S.sname FROM Sailor S";
         let (_, report) =
-            run_sql_analyzed(Engine::Indexed, "SELECT S.sname FROM Sailor S", &db).unwrap();
+            run_sql_analyzed_with(Engine::Indexed, sql, &db, ExecOptions::default()).unwrap();
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"relviz-stats-v1\""));
         let ops = json.lines().filter(|l| l.contains("\"op\":")).count();
@@ -1031,20 +973,24 @@ mod tests {
     #[test]
     fn reference_engine_cannot_be_analyzed() {
         let db = sailors_sample();
-        let err = run_sql_analyzed(Engine::Reference, "SELECT S.sname FROM Sailor S", &db)
+        let sql = "SELECT S.sname FROM Sailor S";
+        let err = run_sql_analyzed_with(Engine::Reference, sql, &db, ExecOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("EXPLAIN ANALYZE requires"), "{err}");
         let prog = relviz_datalog::parse::parse_program(TC).unwrap();
         let db2 = generate_binary_pair(1, 5, 5);
-        assert!(eval_datalog_analyzed(Engine::Reference, &prog, &db2).is_err());
+        assert!(eval_datalog_analyzed_with(Engine::Reference, &prog, &db2, ExecOptions::default())
+            .is_err());
     }
 
     #[test]
     fn recursive_analysis_records_rounds_to_convergence() {
         let db = generate_binary_pair(11, 30, 12);
         let prog = relviz_datalog::parse::parse_program(TC).unwrap();
-        let (rel, report) = eval_datalog_analyzed(Engine::Indexed, &prog, &db).unwrap();
-        let plain = crate::eval_datalog(Engine::Indexed, &prog, &db).unwrap();
+        let (rel, report) =
+            eval_datalog_analyzed_with(Engine::Indexed, &prog, &db, ExecOptions::default())
+                .unwrap();
+        let plain = eval_datalog_with(Engine::Indexed, &prog, &db, ExecOptions::default()).unwrap();
         assert!(rel.same_contents(&plain));
         assert!(!report.rounds.is_empty(), "a recursive query records its rounds");
         let first = report.rounds.first().unwrap();
@@ -1064,8 +1010,9 @@ mod tests {
     fn parallel_analysis_reports_worker_utilization() {
         let db = generate_binary_pair(5, 1500, 600);
         let prog = relviz_datalog::parse::parse_program(TC).unwrap();
-        let (rel, report) = eval_datalog_analyzed(Engine::Parallel(4), &prog, &db).unwrap();
-        let plain = crate::eval_datalog(Engine::Indexed, &prog, &db).unwrap();
+        let (rel, report) =
+            eval_datalog_analyzed_with(Engine::Indexed, &prog, &db, wide(4)).unwrap();
+        let plain = eval_datalog_with(Engine::Indexed, &prog, &db, ExecOptions::default()).unwrap();
         assert!(rel.same_contents(&plain), "analyzed parallel result must match serial");
         assert_eq!(report.engine, "parallel");
         assert_eq!(report.threads, 4);
@@ -1078,13 +1025,33 @@ mod tests {
         assert!(report.text.contains("worker 0:"), "{}", report.text);
     }
 
+    /// The `engine` label names the path that ran, read off the
+    /// resolved width: one worker is the serial `exec` path, however
+    /// the width was asked for; auto resolves before labelling.
+    #[test]
+    fn the_engine_label_follows_the_resolved_width() {
+        let db = sailors_sample();
+        let sql = "SELECT S.sname FROM Sailor S";
+        let (_, one) = run_sql_analyzed_with(Engine::Indexed, sql, &db, wide(1)).unwrap();
+        assert_eq!((one.engine, one.threads), ("exec", 1));
+        assert!(one.text.contains("Analyzed: engine=exec threads=1"), "{}", one.text);
+        assert!(one.to_json().contains("\"engine\": \"exec\""));
+        let (_, two) = run_sql_analyzed_with(Engine::Indexed, sql, &db, wide(2)).unwrap();
+        assert_eq!((two.engine, two.threads), ("parallel", 2));
+        let (_, auto) = run_sql_analyzed_with(Engine::Indexed, sql, &db, wide(0)).unwrap();
+        let width = crate::resolve_threads(0);
+        let label = if width > 1 { "parallel" } else { "exec" };
+        assert_eq!((auto.engine, auto.threads), (label, width));
+    }
+
     #[test]
     fn disabled_path_records_nothing() {
         // A plain run must leave a fresh QueryStats' shape intact: this
         // is the "no stats unless asked" contract — ExecContext without
         // with_stats never touches a tree.
         let db = sailors_sample();
-        let rel = crate::run_sql(Engine::Indexed, "SELECT S.sname FROM Sailor S", &db).unwrap();
+        let sql = "SELECT S.sname FROM Sailor S";
+        let rel = run_sql_with(Engine::Indexed, sql, &db, ExecOptions::default()).unwrap();
         assert!(!rel.is_empty());
     }
 }

@@ -115,7 +115,7 @@ pub fn render_diagnostics(diags: &[Diagnostic]) -> String {
 // Plan verification
 // ---------------------------------------------------------------------------
 
-/// Verifies a standalone physical plan (the `plan_ra`/`plan_trc`
+/// Verifies a standalone physical plan (the `plan_ra_with`/`plan_trc_with`
 /// output). Fixpoint scans are rejected here — they only make sense
 /// inside [`verify_fixpoint`]. Pass the database to additionally check
 /// every `Scan` against the catalog.
@@ -1313,6 +1313,7 @@ pub fn explain_datalog_verified(plan: &FixpointPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::OptConfig;
     use relviz_datalog::ast::Atom;
     use relviz_model::catalog::sailors_sample;
     use relviz_model::{CmpOp, DataType, Tuple, Value};
@@ -1519,7 +1520,7 @@ mod tests {
             "SELECT DISTINCT S.sname FROM Sailor S, Reserves R WHERE S.sid = R.sid",
         ] {
             let trc = relviz_rc::from_sql::parse_sql_to_trc(q, &db).unwrap();
-            let plan = crate::planner::plan_trc(&trc, &db).unwrap();
+            let plan = crate::planner::plan_trc_with(&trc, &db, OptConfig::optimized()).unwrap();
             let diags = verify_plan(&plan, Some(&db));
             assert!(diags.is_empty(), "{q}:\n{}", render_diagnostics(&diags));
         }
@@ -1537,7 +1538,8 @@ mod tests {
              unreached(X, Y) :- node(X), node(Y), not tc(X, Y).",
         )
         .unwrap();
-        let plan = crate::datalog_planner::plan_datalog(&prog, &db).unwrap();
+        let plan =
+            crate::datalog_planner::plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let diags = verify_fixpoint(&plan, Some(&db));
         assert!(diags.is_empty(), "{}", render_diagnostics(&diags));
     }
@@ -1549,7 +1551,8 @@ mod tests {
             "tc(X, Y) :- R(X, Y).\ntc(X, Z) :- tc(X, Y), R(Y, Z).",
         )
         .unwrap();
-        let mut plan = crate::datalog_planner::plan_datalog(&prog, &db).unwrap();
+        let mut plan =
+            crate::datalog_planner::plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         for s in &mut plan.strata {
             for r in &mut s.rules {
                 r.deltas.clear();
@@ -1572,7 +1575,8 @@ mod tests {
              unreached(X, Y) :- node(X), node(Y), not tc(X, Y).",
         )
         .unwrap();
-        let mut plan = crate::datalog_planner::plan_datalog(&prog, &db).unwrap();
+        let mut plan =
+            crate::datalog_planner::plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         // Collapse the strata into one, as a broken stratifier would.
         let mut merged = crate::fixpoint::StratumPlan {
             predicates: Vec::new(),

@@ -1,7 +1,7 @@
 //! The **prepared-plan cache**: parsing + planning amortized across a
 //! resident server's lifetime.
 //!
-//! Keys are `(db name, db generation, language, engine family, opt
+//! Keys are `(db name, db generation, language, engine, opt
 //! config, query text)` — the generation component means a catalog
 //! mutation (load / insert / drop + reload) invalidates every cached
 //! plan for that database *by construction*: the old entries simply
@@ -34,9 +34,9 @@ pub struct PlanKey {
     pub db: String,
     pub generation: u64,
     pub lang: Lang,
-    /// [`Engine::name`] — Indexed and Parallel share plans (the
-    /// parallel runtime executes the same [`PhysPlan`]s), Reference
-    /// never reaches the cache.
+    /// [`Engine::name`]. The worker width is not part of the key: every
+    /// width of the physical engine runs the same [`PhysPlan`], so one
+    /// entry serves them all. Reference never reaches the cache.
     pub engine: &'static str,
     pub reorder: bool,
     pub magic: bool,

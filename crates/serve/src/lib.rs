@@ -17,9 +17,9 @@
 //! * [`server`] — frame dispatch plus the `--stdio` and `--port N`
 //!   transports; thread-per-connection, one shared [`Server`].
 //!
-//! Every request resolves its own optimizer configuration and parallel
-//! width at construction — a long-lived process can't afford the
-//! process-global toggles the one-shot CLI tolerated.
+//! Every request resolves its own optimizer configuration and worker
+//! width at construction, into the `ExecOptions` every exec entry point
+//! takes; nothing on the request path reads process-global state.
 
 pub mod cache;
 pub mod catalog;

@@ -3,8 +3,8 @@
 //!
 //! One [`Server`] owns the [`Catalog`] and the [`PlanCache`]; every
 //! connection (or the single stdio stream) shares it behind an `Arc`.
-//! A request never touches process-global state: its optimizer
-//! configuration and parallel worker width are resolved *at request
+//! A request never touches process-global state: its [`ExecOptions`]
+//! (worker width and optimizer configuration) are resolved *at request
 //! construction* from frame fields falling back to server defaults —
 //! the `RELVIZ_THREADS` environment variable is consulted exactly once,
 //! when the server is built ([`Server::new`]).
@@ -13,10 +13,11 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use relviz_exec::parallel::eval_fixpoint_parallel;
 use relviz_exec::{
-    eval_datalog_all_with, eval_datalog_analyzed_with, eval_fixpoint, eval_trc_analyzed_with,
-    eval_trc_with, execute, execute_parallel, magic_transform, plan_datalog_with, plan_trc_with,
-    resolve_threads, run_sql_analyzed_with, run_sql_with, Engine, OptConfig,
+    eval_datalog_all_with, eval_datalog_analyzed_with, eval_datalog_with, eval_trc_analyzed_with,
+    eval_trc_with, execute_parallel, magic_transform, plan_datalog_with, plan_trc_with,
+    resolve_threads, run_sql_analyzed_with, run_sql_with, Engine, ExecOptions, OptConfig,
 };
 use relviz_model::text::parse_database;
 use relviz_model::Relation;
@@ -32,7 +33,7 @@ pub struct ServerConfig {
     /// `RELVIZ_THREADS` / hardware **once**, at construction).
     pub threads: usize,
     /// Optimizer default for requests that don't say (the CLI's
-    /// `--no-opt` lands here, instead of in a process global).
+    /// `--no-opt` lands here; `Default` turns the optimizer on).
     pub default_opt: OptConfig,
     /// Prepared-plan cache capacity.
     pub cache_cap: usize,
@@ -42,7 +43,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             threads: 0,
-            default_opt: OptConfig::current(),
+            default_opt: OptConfig::optimized(),
             cache_cap: PlanCache::DEFAULT_CAP,
         }
     }
@@ -143,22 +144,23 @@ impl Server {
         if req.engine == Engine::Reference {
             let src = snap.source();
             let rel = match req.lang {
-                Lang::Sql => run_sql_with(req.engine, &req.text, src, req.cfg),
+                Lang::Sql => run_sql_with(req.engine, &req.text, src, req.opts),
                 Lang::Trc => {
                     let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                    eval_trc_with(req.engine, &q, src, req.cfg)
+                    eval_trc_with(req.engine, &q, src, req.opts)
                 }
                 Lang::Datalog => {
                     let prog = relviz_datalog::parse::parse_program(&req.text).map_err(str_of)?;
-                    relviz_exec::eval_datalog_with(req.engine, &prog, src, req.cfg)
+                    eval_datalog_with(req.engine, &prog, src, req.opts)
                 }
             }
             .map_err(str_of)?;
             return Ok((rel, false));
         }
 
+        // The key names no width: every width runs the same plan.
         let key =
-            PlanKey::new(&req.db, snap.generation, req.lang, req.engine, req.cfg, &req.text);
+            PlanKey::new(&req.db, snap.generation, req.lang, req.engine, req.opts.opt, &req.text);
         let (prepared, cached) = match self.cache.get(&key) {
             Some(p) => (p, true),
             None => {
@@ -177,12 +179,12 @@ impl Server {
             Lang::Sql => {
                 let trc =
                     relviz_rc::from_sql::parse_sql_to_trc(&req.text, &snap.db).map_err(str_of)?;
-                let plan = plan_trc_with(&trc, &src, req.cfg).map_err(str_of)?;
+                let plan = plan_trc_with(&trc, &src, req.opts.opt).map_err(str_of)?;
                 Ok(Prepared::Plan(Arc::new(plan)))
             }
             Lang::Trc => {
                 let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                let plan = plan_trc_with(&q, &src, req.cfg).map_err(str_of)?;
+                let plan = plan_trc_with(&q, &src, req.opts.opt).map_err(str_of)?;
                 Ok(Prepared::Plan(Arc::new(plan)))
             }
             Lang::Datalog => {
@@ -190,9 +192,9 @@ impl Server {
                 // Mirror `eval_datalog_with`: with the optimizer on,
                 // prefer the magic-transformed program; keep the
                 // original for the defensive fallback.
-                if req.cfg.magic {
+                if req.opts.opt.magic {
                     if let Some(t) = magic_transform(&prog) {
-                        if let Ok(plan) = plan_datalog_with(&t, &src, req.cfg) {
+                        if let Ok(plan) = plan_datalog_with(&t, &src, req.opts.opt) {
                             return Ok(Prepared::Fixpoint {
                                 plan: Arc::new(plan),
                                 query_pred: t.query.clone(),
@@ -201,7 +203,7 @@ impl Server {
                         }
                     }
                 }
-                let plan = plan_datalog_with(&prog, &src, req.cfg).map_err(str_of)?;
+                let plan = plan_datalog_with(&prog, &src, req.opts.opt).map_err(str_of)?;
                 let query_pred = prog.query.clone();
                 Ok(Prepared::Fixpoint { plan: Arc::new(plan), query_pred, program: Arc::new(prog) })
             }
@@ -215,30 +217,18 @@ impl Server {
         snap: &Snapshot,
     ) -> Result<Relation, String> {
         let src = snap.source();
+        let threads = req.opts.threads;
         match prepared {
-            Prepared::Plan(plan) => match req.engine {
-                Engine::Indexed => execute(plan, &src).map_err(str_of),
-                Engine::Parallel(t) => execute_parallel(plan, &src, t).map_err(str_of),
-                Engine::Reference => Err("reference engine has no prepared plan".to_string()),
-            },
+            Prepared::Plan(plan) => execute_parallel(plan, &src, threads).map_err(str_of),
             Prepared::Fixpoint { plan, query_pred, program } => {
-                let mut all = match req.engine {
-                    Engine::Indexed => eval_fixpoint(plan, &src).map_err(str_of)?,
-                    Engine::Parallel(t) => {
-                        relviz_exec::parallel::eval_fixpoint_parallel(plan, &src, t)
-                            .map_err(str_of)?
-                    }
-                    Engine::Reference => {
-                        return Err("reference engine has no prepared plan".to_string())
-                    }
-                };
+                let mut all = eval_fixpoint_parallel(plan, &src, threads).map_err(str_of)?;
                 match all.remove(query_pred) {
                     Some(rel) => Ok(rel),
                     // The magic-planned program didn't derive the query
                     // predicate — fall back to the untransformed
                     // program, exactly like `eval_datalog_with`.
                     None => {
-                        let mut all = eval_datalog_all_with(req.engine, program, &src, req.cfg)
+                        let mut all = eval_datalog_all_with(req.engine, program, &src, req.opts)
                             .map_err(str_of)?;
                         all.remove(&program.query).ok_or_else(|| {
                             format!("query predicate `{}` was never derived", program.query)
@@ -259,14 +249,14 @@ impl Server {
     ) -> Result<Vec<String>, String> {
         let src = snap.source();
         let (rel, report) = match req.lang {
-            Lang::Sql => run_sql_analyzed_with(req.engine, &req.text, &src, req.cfg),
+            Lang::Sql => run_sql_analyzed_with(req.engine, &req.text, &src, req.opts),
             Lang::Trc => {
                 let q = relviz_rc::trc_parse::parse_trc(&req.text).map_err(str_of)?;
-                eval_trc_analyzed_with(req.engine, &q, &src, req.cfg)
+                eval_trc_analyzed_with(req.engine, &q, &src, req.opts)
             }
             Lang::Datalog => {
                 let prog = relviz_datalog::parse::parse_program(&req.text).map_err(str_of)?;
-                eval_datalog_analyzed_with(req.engine, &prog, &src, req.cfg)
+                eval_datalog_analyzed_with(req.engine, &prog, &src, req.opts)
             }
         }
         .map_err(str_of)?;
@@ -384,7 +374,8 @@ struct QueryRequest {
     text: String,
     lang: Lang,
     engine: Engine,
-    cfg: OptConfig,
+    /// The worker width (resolved, always >= 1) and optimizer config.
+    opts: ExecOptions,
     analyze: bool,
 }
 
@@ -405,18 +396,18 @@ impl QueryRequest {
             "datalog" => Lang::Datalog,
             other => return Err(format!("unknown lang `{other}`")),
         };
-        // The parallel width is pinned here: an explicit `threads`
-        // field wins, else the width the server resolved at startup.
-        // `resolve_threads` is never called again downstream because
-        // the payload is always >= 1.
-        let width = match frame.get("threads").and_then(Json::as_u64) {
+        // The worker width is pinned here: `exec` is one worker, and
+        // `parallel` takes an explicit `threads` field, else the width
+        // the server resolved at startup. `resolve_threads` is never
+        // called again downstream because the width is always >= 1.
+        let parallel_width = match frame.get("threads").and_then(Json::as_u64) {
             Some(t) if t > 0 => t as usize,
             _ => server_threads,
         };
-        let engine = match frame.get("engine").and_then(Json::as_str).unwrap_or("exec") {
-            "exec" | "indexed" => Engine::Indexed,
-            "parallel" => Engine::Parallel(width),
-            "reference" => Engine::Reference,
+        let (engine, threads) = match frame.get("engine").and_then(Json::as_str).unwrap_or("exec") {
+            "exec" | "indexed" => (Engine::Indexed, 1),
+            "parallel" => (Engine::Indexed, parallel_width),
+            "reference" => (Engine::Reference, 1),
             other => return Err(format!("unknown engine `{other}`")),
         };
         let mut cfg = default_opt;
@@ -432,7 +423,7 @@ impl QueryRequest {
             text,
             lang,
             engine,
-            cfg,
+            opts: ExecOptions { threads, opt: cfg },
             analyze,
         })
     }
@@ -521,7 +512,7 @@ mod tests {
         assert_eq!(resp.get("type").and_then(Json::as_str), Some("result"));
         let body = resp.get("body").and_then(Json::as_str).expect("body");
         let oneshot =
-            run_sql_with(Engine::Indexed, sql, &sailors_sample(), OptConfig::current())
+            run_sql_with(Engine::Indexed, sql, &sailors_sample(), ExecOptions::default())
                 .expect("one-shot evaluates");
         assert_eq!(body, format!("{oneshot}"), "server body must be byte-identical");
         assert_eq!(resp.get("cached_plan").and_then(Json::as_bool), Some(false));
@@ -563,6 +554,50 @@ mod tests {
         let payload = stats.get("stats_json").and_then(Json::as_str).expect("stats_json");
         assert!(payload.contains("relviz-stats-v1"), "embedded relviz-stats-v1 document");
         assert!(!frames[1].contains('\n'), "frames stay single-line");
+    }
+
+    /// One plan serves every width: the width only matters when the
+    /// plan runs, so `exec`, `parallel` at one worker and `parallel` at
+    /// four share a single cache entry.
+    #[test]
+    fn plans_are_shared_across_widths() {
+        let s = server();
+        let sql = "SELECT S.sname FROM Sailor S WHERE S.rating > 7";
+        let mut bodies = Vec::new();
+        for (id, fields, cached) in [
+            (1, r#""engine":"exec""#, false),
+            (2, r#""engine":"parallel","threads":1"#, true),
+            (3, r#""engine":"parallel","threads":4"#, true),
+        ] {
+            let resp =
+                one(&s, &format!(r#"{{"type":"query","id":{id},"query":"{sql}",{fields}}}"#));
+            assert_eq!(resp.get("cached_plan").and_then(Json::as_bool), Some(cached), "{fields}");
+            bodies.push(resp.get("body").and_then(Json::as_str).map(str::to_string));
+        }
+        assert!(bodies.iter().all(|b| b.is_some() && *b == bodies[0]), "{bodies:?}");
+        let cat = one(&s, r#"{"type":"catalog","id":4}"#);
+        let len = cat.get("plan_cache").and_then(|c| c.get("len")).and_then(Json::as_u64);
+        assert_eq!(len, Some(1));
+    }
+
+    /// The analyze label names the path that ran: a one-worker
+    /// `parallel` request runs the serial path, so its stats say `exec`,
+    /// and its answer is the `exec` request's.
+    #[test]
+    fn a_one_worker_parallel_analysis_reports_exec() {
+        let s = server();
+        let sql = "SELECT S.sname FROM Sailor S WHERE S.rating > 7";
+        let exec = one(&s, &format!(r#"{{"type":"query","id":1,"query":"{sql}"}}"#));
+        let frames = s.handle_line(&format!(
+            r#"{{"type":"query","id":2,"query":"{sql}","engine":"parallel","threads":1,"analyze":true}}"#
+        ));
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        let result = Json::parse(&frames[0]).expect("result frame parses");
+        assert_eq!(result.get("body"), exec.get("body"));
+        let stats = Json::parse(&frames[1]).expect("stats frame parses");
+        let payload = stats.get("stats_json").and_then(Json::as_str).expect("stats_json");
+        assert!(payload.contains("\"engine\": \"exec\""), "{payload}");
+        assert!(payload.contains("\"threads\": 1"), "{payload}");
     }
 
     #[test]
@@ -716,7 +751,8 @@ mod tests {
             .expect("Reserves")
             .insert(relviz_model::Tuple::of((95, 103, "2024-09-09")))
             .expect("inserts");
-        let oneshot = run_sql_with(Engine::Indexed, sql, &db, OptConfig::current()).expect("runs");
+        let oneshot =
+            run_sql_with(Engine::Indexed, sql, &db, ExecOptions::default()).expect("runs");
         assert_eq!(body, Some(format!("{oneshot}")));
         assert!(body.is_some_and(|b| b.contains("95")), "the new row is visible");
     }

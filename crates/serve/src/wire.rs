@@ -9,9 +9,11 @@
 //! ```text
 //! {"type":"query","id":1,"query":"SELECT …","lang":"sql"}       evaluate
 //!     optional: "db" (default "default"), "engine" "exec"|"parallel"|
-//!     "reference", "threads" N (parallel width; 0 = server default),
-//!     "analyze" true (append a stats frame), "no_opt" true (disable the
-//!     optimizer for this request only), "lang" "sql"|"trc"|"datalog"
+//!     "reference" ("exec" runs one worker; "parallel" runs "threads"
+//!     workers), "threads" N (the parallel width; absent or 0 = the
+//!     server's width), "analyze" true (append a stats frame), "no_opt"
+//!     true (disable the optimizer for this request only), "lang"
+//!     "sql"|"trc"|"datalog"
 //! {"type":"load","db":"g","text":"relation R(a:int, b:int)\n1, 2\n"}  create/replace
 //! {"type":"insert","db":"g","text":"relation R(a:int, b:int)\n3, 4\n"} union rows in
 //! {"type":"drop","db":"g"}                                      remove

@@ -12,16 +12,20 @@
 //! Options: `--formalism queryvis|reldiag|dfql|qbe|strings|visualsql|sqlvis|tabletalk|dataplay|sieuferd|qbd`,
 //! `--db <file>` (text format of `relviz_model::text`),
 //! `--engine exec|parallel|reference` (the interactive `run` path
-//! defaults to the physical engine), `--threads N` (worker count for
-//! `--engine parallel`; 0 or absent = auto via `RELVIZ_THREADS` /
-//! available hardware parallelism — results are bit-identical to
-//! `exec` at any thread count).
+//! defaults to `exec`, the physical engine at one worker; `parallel` is
+//! the same engine at `--threads N` workers, 0 or absent = auto via
+//! `RELVIZ_THREADS` / available hardware parallelism — results are
+//! bit-identical at any width), `--no-opt` (plan without join
+//! reordering and magic sets). The flags become one `OptConfig` and
+//! one `ExecOptions`, passed explicitly to `run`, `check` and `serve`.
 
 use std::process::ExitCode;
 
-use relviz::core::{Backend, Engine, QueryVisualizer, VisFormalism};
+use relviz::core::{Backend, Engine, ExecOptions, QueryVisualizer, VisFormalism};
+use relviz::exec::OptConfig;
 use relviz::model::catalog::sailors_sample;
 use relviz::model::Database;
+use relviz::serve::{Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,7 +42,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let mut positional = Vec::new();
     let mut formalism = VisFormalism::RelationalDiagrams;
     let mut engine = Engine::Indexed;
+    let mut parallel = false; // `--engine parallel`: run at `threads` workers
     let mut threads: usize = 0; // 0 = auto (RELVIZ_THREADS / hardware)
+    let mut opt = OptConfig::optimized();
     let mut db_path: Option<String> = None;
     let mut lang = String::from("sql");
     let mut suite = false;
@@ -56,7 +62,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 let v = it.next().ok_or("--port needs a port number")?;
                 port = Some(v.parse().map_err(|_| format!("--port: `{v}` is not a port"))?);
             }
-            "--no-opt" => relviz::exec::set_optimizer_enabled(false),
+            "--no-opt" => opt = OptConfig::unoptimized(),
             "--stats-json" => {
                 stats_json = Some(it.next().ok_or("--stats-json needs a file path")?);
                 analyze = true; // writing stats implies collecting them
@@ -72,10 +78,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--verify" => verify = true,
             "--engine" => {
                 let v = it.next().ok_or("--engine needs a value")?;
-                engine = match v.as_str() {
-                    "exec" | "indexed" => Engine::Indexed,
-                    "parallel" => Engine::Parallel(threads),
-                    "reference" => Engine::Reference,
+                (engine, parallel) = match v.as_str() {
+                    "exec" | "indexed" => (Engine::Indexed, false),
+                    "parallel" => (Engine::Indexed, true),
+                    "reference" => (Engine::Reference, false),
                     other => return Err(format!("unknown engine `{other}`")),
                 };
             }
@@ -84,10 +90,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 threads = v
                     .parse()
                     .map_err(|_| format!("--threads: `{v}` is not a worker count"))?;
-                // `--threads` may precede or follow `--engine parallel`.
-                if let Engine::Parallel(_) = engine {
-                    engine = Engine::Parallel(threads);
-                }
             }
             "--formalism" => {
                 let v = it.next().ok_or("--formalism needs a value")?;
@@ -118,6 +120,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         None => sailors_sample(),
     };
+    // `--threads` may precede or follow `--engine parallel`; `exec` is
+    // one worker whatever `--threads` says.
+    let options = ExecOptions { threads: if parallel { threads } else { 1 }, opt };
 
     let cmd = positional.first().map(String::as_str).unwrap_or("help");
     match cmd {
@@ -160,14 +165,24 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
             Ok(())
         }
-        "check" => check(&db, &lang, suite, positional.get(1).map(String::as_str)),
-        "serve" => serve(db, stdio, port, threads),
+        "check" => check(&db, &lang, suite, positional.get(1).map(String::as_str), opt),
+        "serve" => {
+            let config = ServerConfig { threads, default_opt: opt, ..ServerConfig::default() };
+            serve(db, stdio, port, config)
+        }
         "run" => {
             let query = positional.get(1).ok_or("usage: relviz run \"<query>\"")?;
             match lang.as_str() {
-                "sql" => run_sql(query, &db, formalism, engine, verify, analyze, &stats_json),
+                "sql" => {
+                    // The interactive path runs on the physical engine by
+                    // default; `--engine reference` restores the oracle.
+                    let viz = QueryVisualizer::new(formalism, Backend::Ascii)
+                        .with_engine(engine)
+                        .with_options(options);
+                    run_sql(query, &db, &viz, verify, analyze, &stats_json)
+                }
                 "datalog" => {
-                    run_datalog(query, &db, engine, verify, analyze, &stats_json)
+                    run_datalog(query, &db, engine, options, verify, analyze, &stats_json)
                 }
                 other => Err(format!(
                     "run evaluates --lang sql or datalog, not `{other}` \
@@ -221,9 +236,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
 /// database (default: the sailors sample) is preloaded as `default`;
 /// `--threads` pins the parallel width, `--no-opt` sets the default
 /// optimizer configuration — each request can still override both.
-fn serve(db: Database, stdio: bool, port: Option<u16>, threads: usize) -> Result<(), String> {
-    use relviz::serve::{Server, ServerConfig};
-    let server = Server::new(ServerConfig { threads, ..ServerConfig::default() });
+fn serve(db: Database, stdio: bool, port: Option<u16>, config: ServerConfig) -> Result<(), String> {
+    let server = Server::new(config);
     server.catalog().load("default", db);
     if stdio {
         return server.serve_stdio().map_err(|e| e.to_string());
@@ -244,15 +258,11 @@ fn serve(db: Database, stdio: bool, port: Option<u16>, threads: usize) -> Result
 fn run_sql(
     sql: &str,
     db: &Database,
-    formalism: VisFormalism,
-    engine: Engine,
+    viz: &QueryVisualizer,
     verify: bool,
     analyze: bool,
     stats_json: &Option<String>,
 ) -> Result<(), String> {
-    // The interactive path runs on the physical engine by default;
-    // `--engine reference` restores the oracle.
-    let viz = QueryVisualizer::new(formalism, Backend::Ascii).with_engine(engine);
     if verify {
         // `--verify`: statically check the plan before running.
         print!("{}", viz.check(sql, db).map_err(|e| e.to_string())?);
@@ -278,13 +288,14 @@ fn run_datalog(
     src: &str,
     db: &Database,
     engine: Engine,
+    options: ExecOptions,
     verify: bool,
     analyze: bool,
     stats_json: &Option<String>,
 ) -> Result<(), String> {
     use relviz::exec::{
-        analyze_program, error_count, plan_datalog, render_diagnostics, verification_footer,
-        verify_fixpoint,
+        analyze_program, error_count, eval_datalog_analyzed_with, eval_datalog_with,
+        plan_datalog_with, render_diagnostics, verification_footer, verify_fixpoint,
     };
     let prog = relviz::datalog::parse::parse_program(src).map_err(|e| e.to_string())?;
     if verify {
@@ -293,7 +304,7 @@ fn run_datalog(
             return Err(render_diagnostics(&analysis));
         }
         print!("{}", render_diagnostics(&analysis)); // warnings, if any
-        let plan = plan_datalog(&prog, db).map_err(|e| e.to_string())?;
+        let plan = plan_datalog_with(&prog, db, options.opt).map_err(|e| e.to_string())?;
         let diags = verify_fixpoint(&plan, Some(db));
         print!("{}", verification_footer(plan.node_count(), &diags));
         if error_count(&diags) > 0 {
@@ -302,14 +313,14 @@ fn run_datalog(
     }
     if analyze {
         let (rel, report) =
-            relviz::exec::eval_datalog_analyzed(engine, &prog, db).map_err(|e| e.to_string())?;
+            eval_datalog_analyzed_with(engine, &prog, db, options).map_err(|e| e.to_string())?;
         print!("{rel}");
         println!("({} tuples)", rel.len());
         print!("{}", report.text);
         write_stats_json(stats_json, &report)?;
         return Ok(());
     }
-    let rel = relviz::exec::eval_datalog(engine, &prog, db).map_err(|e| e.to_string())?;
+    let rel = eval_datalog_with(engine, &prog, db, options).map_err(|e| e.to_string())?;
     print!("{rel}");
     println!("({} tuples)", rel.len());
     Ok(())
@@ -330,10 +341,16 @@ fn write_stats_json(
 /// `relviz check`: plans without running, then walks the plan with the
 /// static verifier. Exit status is keyed on **errors** — analyzer
 /// *warnings* (style lints like cartesian products) print but pass.
-fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<(), String> {
+fn check(
+    db: &Database,
+    lang: &str,
+    suite: bool,
+    query: Option<&str>,
+    opt: OptConfig,
+) -> Result<(), String> {
     use relviz::exec::{
-        analyze_program, error_count, plan_datalog, plan_ra, plan_trc, render_diagnostics,
-        verification_footer, verify_fixpoint, verify_plan,
+        analyze_program, error_count, plan_datalog_with, plan_ra_with, plan_trc_with,
+        render_diagnostics, verification_footer, verify_fixpoint, verify_plan,
     };
     if suite {
         let mut failed = 0usize;
@@ -344,7 +361,7 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
             let trc = relviz::rc::trc_parse::parse_trc(q.trc)
                 .map_err(|e| format!("{}: {e}", q.id))?;
             for (name, plan) in
-                [("ra", plan_ra(&ra, db)), ("trc", plan_trc(&trc, db))]
+                [("ra", plan_ra_with(&ra, db, opt)), ("trc", plan_trc_with(&trc, db, opt))]
             {
                 let plan = plan.map_err(|e| format!("{}: {e}", q.id))?;
                 let diags = verify_plan(&plan, Some(db));
@@ -362,7 +379,8 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
             let mut errs = error_count(&analysis);
             let mut nodes = 0;
             if errs == 0 {
-                let plan = plan_datalog(&prog, db).map_err(|e| format!("{}: {e}", q.id))?;
+                let plan =
+                    plan_datalog_with(&prog, db, opt).map_err(|e| format!("{}: {e}", q.id))?;
                 errs += error_count(&verify_fixpoint(&plan, Some(db)));
                 nodes = plan.node_count();
             }
@@ -384,18 +402,19 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
         query.ok_or("usage: relviz check \"<query>\" [--lang sql|ra|trc|datalog] | --suite")?;
     let (diags, nodes) = match lang {
         "sql" => {
-            let viz = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii);
+            let viz = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii)
+                .with_options(opt.into());
             print!("{}", viz.check(query, db).map_err(|e| e.to_string())?);
             return Ok(());
         }
         "ra" => {
             let expr = relviz::ra::parse::parse_ra(query).map_err(|e| e.to_string())?;
-            let plan = plan_ra(&expr, db).map_err(|e| e.to_string())?;
+            let plan = plan_ra_with(&expr, db, opt).map_err(|e| e.to_string())?;
             (verify_plan(&plan, Some(db)), plan.node_count())
         }
         "trc" => {
             let trc = relviz::rc::trc_parse::parse_trc(query).map_err(|e| e.to_string())?;
-            let plan = plan_trc(&trc, db).map_err(|e| e.to_string())?;
+            let plan = plan_trc_with(&trc, db, opt).map_err(|e| e.to_string())?;
             (verify_plan(&plan, Some(db)), plan.node_count())
         }
         "datalog" => {
@@ -406,7 +425,7 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
                 return Err(render_diagnostics(&analysis));
             }
             print!("{}", render_diagnostics(&analysis)); // warnings, if any
-            let plan = plan_datalog(&prog, db).map_err(|e| e.to_string())?;
+            let plan = plan_datalog_with(&prog, db, opt).map_err(|e| e.to_string())?;
             (verify_fixpoint(&plan, Some(db)), plan.node_count())
         }
         other => return Err(format!("unknown language `{other}`")),

@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use relviz::core::suite::SUITE;
-use relviz::exec::{eval_datalog_analyzed, run_sql_analyzed, Engine};
+use relviz::exec::{eval_datalog_analyzed_with, run_sql_analyzed_with, Engine, ExecOptions};
 use relviz::model::catalog::sailors_sample;
 use relviz::model::generate::generate_binary_pair;
 
@@ -78,20 +78,23 @@ fn normalize(text: &str, parallel: bool) -> String {
     out
 }
 
-/// The two engines every golden section is pinned under. The thread
-/// count is explicit (not `Parallel(0)`) so `RELVIZ_THREADS` in the
+/// The two worker widths every golden section is pinned under. The
+/// width is explicit (not `0`, auto) so `RELVIZ_THREADS` in the
 /// environment — ci.sh reruns the suite with it set — cannot change
 /// the rendering.
-const ENGINES: [(Engine, &str, bool); 2] =
-    [(Engine::Indexed, "serial", false), (Engine::Parallel(4), "parallel", true)];
+const WIDTHS: [(usize, &str, bool); 2] = [(1, "serial", false), (4, "parallel", true)];
+
+fn width(threads: usize) -> ExecOptions {
+    ExecOptions { threads, ..ExecOptions::default() }
+}
 
 #[test]
 fn analyze_goldens_for_suite() {
     let db = sailors_sample();
     let mut all = String::new();
     for q in SUITE {
-        for (engine, tag, parallel) in ENGINES {
-            let (_, report) = run_sql_analyzed(engine, q.sql, &db)
+        for (threads, tag, parallel) in WIDTHS {
+            let (_, report) = run_sql_analyzed_with(Engine::Indexed, q.sql, &db, width(threads))
                 .unwrap_or_else(|e| panic!("{} ({tag}): {e}", q.id));
             assert_eq!(
                 report.plan_nodes,
@@ -124,8 +127,9 @@ fn analyze_goldens_for_recursive_datalog() {
     let mut all = String::new();
     for (id, src) in programs {
         let prog = relviz::datalog::parse::parse_program(src).unwrap();
-        for (engine, tag, parallel) in ENGINES {
-            let (rel, report) = eval_datalog_analyzed(engine, &prog, &db)
+        for (threads, tag, parallel) in WIDTHS {
+            let (rel, report) =
+                eval_datalog_analyzed_with(Engine::Indexed, &prog, &db, width(threads))
                 .unwrap_or_else(|e| panic!("{id} ({tag}): {e}"));
             assert!(!rel.is_empty(), "{id} ({tag}): fixpoint must derive facts");
             assert!(

@@ -6,7 +6,7 @@
 //! syntaxes") as an executable pairwise check. Any disagreement prints
 //! both relations via `model::text` so the diff is readable.
 
-use relviz::exec::{self, Engine};
+use relviz::exec::{self, Engine, ExecOptions};
 use relviz::model::catalog::sailors_sample;
 use relviz::model::generate::{generate_sailors, GenConfig};
 use relviz::model::{text, Database, Relation};
@@ -61,21 +61,21 @@ fn all_paths(q: &relviz::core::suite::SuiteQuery, db: &Database) -> Vec<PathResu
         .unwrap_or_else(|e| panic!("{} ra parse: {e}", q.id));
     out.push(PathResult {
         label: "exec(ra)",
-        relation: exec::eval_ra(Engine::Indexed, &ra, db)
+        relation: exec::eval_ra_with(Engine::Indexed, &ra, db, ExecOptions::default())
             .unwrap_or_else(|e| panic!("{} exec(ra): {e}", q.id)),
     });
 
     // 6. Physical engine on the TRC form (∃/¬∃ → semi-/anti-joins).
     out.push(PathResult {
         label: "exec(trc)",
-        relation: exec::eval_trc(Engine::Indexed, &trc, db)
+        relation: exec::eval_trc_with(Engine::Indexed, &trc, db, ExecOptions::default())
             .unwrap_or_else(|e| panic!("{} exec(trc): {e}", q.id)),
     });
 
     // 7. Physical engine behind the SQL front door.
     out.push(PathResult {
         label: "exec(sql→trc)",
-        relation: exec::run_sql(Engine::Indexed, q.sql, db)
+        relation: exec::run_sql_with(Engine::Indexed, q.sql, db, ExecOptions::default())
             .unwrap_or_else(|e| panic!("{} exec(sql→trc): {e}", q.id)),
     });
 
@@ -84,16 +84,17 @@ fn all_paths(q: &relviz::core::suite::SuiteQuery, db: &Database) -> Vec<PathResu
         .unwrap_or_else(|e| panic!("{} datalog parse: {e}", q.id));
     out.push(PathResult {
         label: "exec(datalog)",
-        relation: exec::eval_datalog(Engine::Indexed, &dl, db)
+        relation: exec::eval_datalog_with(Engine::Indexed, &dl, db, ExecOptions::default())
             .unwrap_or_else(|e| panic!("{} exec(datalog): {e}", q.id)),
     });
 
     // 9. The parallel partitioned runtime on the Datalog form — auto
     // worker count, so `RELVIZ_THREADS=8 cargo test` (the CI contention
     // run) pushes this path through eight workers.
+    let auto = ExecOptions { threads: 0, ..ExecOptions::default() };
     out.push(PathResult {
         label: "parallel(datalog)",
-        relation: exec::eval_datalog(Engine::Parallel(0), &dl, db)
+        relation: exec::eval_datalog_with(Engine::Indexed, &dl, db, auto)
             .unwrap_or_else(|e| panic!("{} parallel(datalog): {e}", q.id)),
     });
 
@@ -132,40 +133,45 @@ fn all_paths_agree_on_the_sample() {
 }
 
 /// Every engine-dispatch entry point of the exec crate, exercised for
-/// **every** `Engine` variant — all engines must agree with the
-/// reference on every entry point, on every suite query the entry
-/// point's language can express.
+/// **every** `Engine` variant at one worker, plus the physical engine at
+/// auto width (`threads: 0`, eight workers under CI's
+/// `RELVIZ_THREADS=8` run) — every run must agree with the reference on
+/// every entry point, on every suite query the entry point's language
+/// can express.
 #[test]
 fn every_dispatch_entry_point_runs_on_all_engines() {
     let db = sailors_sample();
+    let runs: Vec<(Engine, usize)> =
+        Engine::ALL.into_iter().map(|e| (e, 1)).chain([(Engine::Indexed, 0)]).collect();
     for q in relviz::core::suite::SUITE {
         let ra = relviz::ra::parse::parse_ra(q.ra).unwrap();
         let trc = relviz::rc::trc_parse::parse_trc(q.trc).unwrap();
         let dl = relviz::datalog::parse::parse_program(q.datalog).unwrap();
-        let results: Vec<Vec<relviz::model::Relation>> = Engine::ALL
+        let results: Vec<Vec<relviz::model::Relation>> = runs
             .iter()
-            .map(|&engine| {
+            .map(|&(engine, threads)| {
+                let opts = ExecOptions { threads, ..ExecOptions::default() };
+                let run = format!("{}/threads={threads}", engine.name());
                 vec![
-                    exec::eval_ra(engine, &ra, &db)
-                        .unwrap_or_else(|e| panic!("{} eval_ra/{}: {e}", q.id, engine.name())),
-                    exec::eval_trc(engine, &trc, &db)
-                        .unwrap_or_else(|e| panic!("{} eval_trc/{}: {e}", q.id, engine.name())),
-                    exec::run_sql(engine, q.sql, &db)
-                        .unwrap_or_else(|e| panic!("{} run_sql/{}: {e}", q.id, engine.name())),
-                    exec::eval_datalog(engine, &dl, &db)
-                        .unwrap_or_else(|e| panic!("{} eval_datalog/{}: {e}", q.id, engine.name())),
+                    exec::eval_ra_with(engine, &ra, &db, opts)
+                        .unwrap_or_else(|e| panic!("{} eval_ra_with/{run}: {e}", q.id)),
+                    exec::eval_trc_with(engine, &trc, &db, opts)
+                        .unwrap_or_else(|e| panic!("{} eval_trc_with/{run}: {e}", q.id)),
+                    exec::run_sql_with(engine, q.sql, &db, opts)
+                        .unwrap_or_else(|e| panic!("{} run_sql_with/{run}: {e}", q.id)),
+                    exec::eval_datalog_with(engine, &dl, &db, opts)
+                        .unwrap_or_else(|e| panic!("{} eval_datalog_with/{run}: {e}", q.id)),
                 ]
             })
             .collect();
         let reference = &results[0];
-        for (engine, outputs) in Engine::ALL.iter().zip(&results).skip(1) {
-            for (entry, (oracle, ours)) in ["eval_ra", "eval_trc", "run_sql", "eval_datalog"]
-                .iter()
-                .zip(reference.iter().zip(outputs))
-            {
+        let entries = ["eval_ra_with", "eval_trc_with", "run_sql_with", "eval_datalog_with"];
+        for (&(engine, threads), outputs) in runs.iter().zip(&results).skip(1) {
+            for (entry, (oracle, ours)) in entries.iter().zip(reference.iter().zip(outputs)) {
                 assert!(
                     oracle.same_contents(ours),
-                    "{} {entry}: `{}` disagrees with the reference\nreference={oracle}\n{}={ours}",
+                    "{} {entry}: `{}` at threads={threads} disagrees with the reference\n\
+                     reference={oracle}\n{}={ours}",
                     q.id,
                     engine.name(),
                     engine.name(),

@@ -12,7 +12,7 @@
 //! order of values — so not only the set but the bytes must match, on
 //! every schedule the OS happens to produce.
 
-use relviz::exec::{self, Engine};
+use relviz::exec::{self, Engine, ExecOptions};
 use relviz::model::catalog::sailors_sample;
 use relviz::model::generate::{generate_binary_pair, generate_sailors, GenConfig};
 use relviz::model::{text, Database, Relation};
@@ -21,6 +21,11 @@ use relviz::model::{text, Database, Relation};
 /// consecutive runs change the schedule shape.
 const THREAD_CYCLE: [usize; 4] = [1, 2, 4, 8];
 const RUNS: usize = 16;
+
+/// The physical engine at `threads` workers (1 is the serial path).
+fn width(threads: usize) -> ExecOptions {
+    ExecOptions { threads, ..ExecOptions::default() }
+}
 
 /// Renders a result through `model::text` — the byte-level anchor.
 fn render(name: &str, rel: &Relation) -> String {
@@ -49,24 +54,24 @@ fn suite_queries_render_identically_on_every_schedule() {
         let trc = relviz::rc::trc_parse::parse_trc(q.trc).unwrap();
         let serial = render(
             "out",
-            &exec::eval_trc(Engine::Indexed, &trc, &db).unwrap(),
+            &exec::eval_trc_with(Engine::Indexed, &trc, &db, width(1)).unwrap(),
         );
         pin(&format!("{} (trc)", q.id), &serial, |t| {
             render(
                 "out",
-                &exec::eval_trc(Engine::Parallel(t), &trc, &db).unwrap(),
+                &exec::eval_trc_with(Engine::Indexed, &trc, &db, width(t)).unwrap(),
             )
         });
 
         let dl = relviz::datalog::parse::parse_program(q.datalog).unwrap();
         let serial = render(
             "out",
-            &exec::eval_datalog(Engine::Indexed, &dl, &db).unwrap(),
+            &exec::eval_datalog_with(Engine::Indexed, &dl, &db, width(1)).unwrap(),
         );
         pin(&format!("{} (datalog)", q.id), &serial, |t| {
             render(
                 "out",
-                &exec::eval_datalog(Engine::Parallel(t), &dl, &db).unwrap(),
+                &exec::eval_datalog_with(Engine::Indexed, &dl, &db, width(t)).unwrap(),
             )
         });
     }
@@ -105,7 +110,7 @@ fn recursive_fixpoints_render_identically_on_every_schedule() {
         ),
     ] {
         let prog = relviz::datalog::parse::parse_program(src).unwrap();
-        let all = exec::eval_datalog_all(Engine::Indexed, &prog, &db).unwrap();
+        let all = exec::eval_datalog_all_with(Engine::Indexed, &prog, &db, width(1)).unwrap();
         let mut serial_db = Database::new();
         let mut names: Vec<_> = all.keys().cloned().collect();
         names.sort();
@@ -114,7 +119,7 @@ fn recursive_fixpoints_render_identically_on_every_schedule() {
         }
         let serial = text::dump_database(&serial_db);
         pin(what, &serial, |t| {
-            let all = exec::eval_datalog_all(Engine::Parallel(t), &prog, &db).unwrap();
+            let all = exec::eval_datalog_all_with(Engine::Indexed, &prog, &db, width(t)).unwrap();
             let mut pdb = Database::new();
             for n in &names {
                 pdb.set(n.clone(), all[n].clone());
@@ -140,8 +145,8 @@ fn partitioned_joins_render_identically_on_every_schedule() {
          Rename[sid -> s_sid](Sailor), Reserves)))",
     )
     .unwrap();
-    let serial = render("out", &exec::eval_ra(Engine::Indexed, &e, &db).unwrap());
+    let serial = render("out", &exec::eval_ra_with(Engine::Indexed, &e, &db, width(1)).unwrap());
     pin("partitioned join", &serial, |t| {
-        render("out", &exec::eval_ra(Engine::Parallel(t), &e, &db).unwrap())
+        render("out", &exec::eval_ra_with(Engine::Indexed, &e, &db, width(t)).unwrap())
     });
 }

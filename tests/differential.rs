@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use relviz::exec::{execute, plan_ra};
+use relviz::exec::{execute, plan_ra_with, OptConfig};
 use relviz::model::generate::{generate_binary_pair, generate_sailors, GenConfig};
 use relviz::model::{CmpOp, Database, DataType, Value};
 use relviz::ra::{Operand, Predicate, RaExpr};
@@ -261,7 +261,7 @@ fn check_case(seed: u64, db: &Database) {
     let expr = g.expression();
     let reference = relviz::ra::eval::eval(&expr, db)
         .unwrap_or_else(|e| panic!("generator produced ill-typed expr (seed {seed}): {e}\n{expr:?}"));
-    let plan = plan_ra(&expr, db)
+    let plan = plan_ra_with(&expr, db, OptConfig::optimized())
         .unwrap_or_else(|e| panic!("planner rejected well-typed expr (seed {seed}): {e}\n{expr:?}"));
     // Every randomized plan must satisfy the static verifier's IR
     // contract — the fuzzer doubles as the verifier's property test.
@@ -283,11 +283,11 @@ fn check_case(seed: u64, db: &Database) {
         ours.len(),
         reference.len(),
     );
-    // The optimizer's reordered plan (plan_ra above runs with the
+    // The optimizer's reordered plan (the plan above runs with the
     // optimizer on) must reproduce the *unoptimized* plan's rendering
     // bit for bit — reordering may only change the join tree, never the
     // result.
-    let unopt_plan = relviz::exec::plan_ra_with(&expr, db, relviz::exec::OptConfig::unoptimized())
+    let unopt_plan = plan_ra_with(&expr, db, OptConfig::unoptimized())
         .unwrap_or_else(|e| panic!("unoptimized planner rejected expr (seed {seed}): {e}"));
     let unopt = execute(&unopt_plan, db)
         .unwrap_or_else(|e| panic!("unoptimized executor failed (seed {seed}): {e}"));

@@ -1,6 +1,6 @@
 //! Differential testing of the recursive-query subsystem: random
 //! **stratified** Datalog programs × random databases, the physical
-//! engine's semi-naive fixpoint (`exec::eval_datalog_all`) against the
+//! engine's semi-naive fixpoint (`exec::eval_datalog_all_with`) against the
 //! reference evaluator (`datalog::eval::eval_all`), every IDB predicate
 //! compared.
 //!
@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use relviz::datalog::ast::{Atom, Literal, Program, Rule, Term};
 use relviz::datalog::eval::eval_all;
-use relviz::exec::{self, explain_datalog, plan_datalog, Engine};
+use relviz::exec::{self, explain_datalog, plan_datalog_with, Engine, ExecOptions, OptConfig};
 use relviz::model::generate::generate_binary_pair;
 use relviz::model::{CmpOp, Database, Value};
 
@@ -154,7 +154,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // generated programs).
     {
         use relviz::exec::{analyze_program, render_diagnostics, verify_fixpoint, Severity};
-        let plan = plan_datalog(&prog, db)
+        let plan = plan_datalog_with(&prog, db, OptConfig::optimized())
             .unwrap_or_else(|e| panic!("planner rejected a valid program (seed {prog_seed}): {e}"));
         let diags = verify_fixpoint(&plan, Some(db));
         assert!(
@@ -169,9 +169,10 @@ fn check_case(prog_seed: u64, db: &Database) {
             render_diagnostics(&analysis),
         );
     }
-    let all = exec::eval_datalog_all(Engine::Indexed, &prog, db).unwrap_or_else(|e| {
-        panic!("exec rejected a valid program (seed {prog_seed}): {e}\n{prog}")
-    });
+    let all = exec::eval_datalog_all_with(Engine::Indexed, &prog, db, ExecOptions::default())
+        .unwrap_or_else(|e| {
+            panic!("exec rejected a valid program (seed {prog_seed}): {e}\n{prog}")
+        });
     assert_eq!(all.len(), reference.len(), "IDB predicate sets differ (seed {prog_seed})");
     for (name, rel) in &reference {
         let ours = all
@@ -180,7 +181,9 @@ fn check_case(prog_seed: u64, db: &Database) {
         assert!(
             ours.same_contents(rel),
             "engines disagree on `{name}` (seed {prog_seed})\nprogram:\n{prog}\nplan:\n{}\nexec ({} rows):\n{ours}\nreference ({} rows):\n{rel}",
-            explain_datalog(&plan_datalog(&prog, db).expect("planned once already")),
+            explain_datalog(
+                &plan_datalog_with(&prog, db, OptConfig::optimized()).expect("planned once already")
+            ),
             ours.len(),
             rel.len(),
         );
@@ -188,7 +191,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // Optimizer A/B: the same program evaluated with reordering off
     // must reproduce every optimized relation bit for bit.
     let unopt =
-        exec::eval_datalog_all_with(Engine::Indexed, &prog, db, exec::OptConfig::unoptimized())
+        exec::eval_datalog_all_with(Engine::Indexed, &prog, db, OptConfig::unoptimized())
             .unwrap_or_else(|e| panic!("unoptimized eval failed (seed {prog_seed}): {e}\n{prog}"));
     assert_eq!(unopt.len(), all.len(), "predicate sets differ unoptimized (seed {prog_seed})");
     for (name, rel) in &all {
@@ -198,11 +201,12 @@ fn check_case(prog_seed: u64, db: &Database) {
             "optimized and unoptimized fixpoints diverge on `{name}` (seed {prog_seed})\nprogram:\n{prog}\nunoptimized:\n{u}\noptimized:\n{rel}",
         );
     }
-    // Magic sets vs. full evaluation: `eval_datalog` demand-transforms
-    // the program on the physical engines; its query relation must
-    // render identically to the full fixpoint's.
+    // Magic sets vs. full evaluation: `eval_datalog_with` demand-
+    // transforms the program on the physical engine; its query relation
+    // must render identically to the full fixpoint's.
     if let Some(full_query) = all.get(&prog.query) {
-        let magic = exec::eval_datalog(Engine::Indexed, &prog, db).unwrap_or_else(|e| {
+        let magic = exec::eval_datalog_with(Engine::Indexed, &prog, db, ExecOptions::default());
+        let magic = magic.unwrap_or_else(|e| {
             panic!("magic-sets eval failed (seed {prog_seed}): {e}\n{prog}")
         });
         assert!(
@@ -216,7 +220,8 @@ fn check_case(prog_seed: u64, db: &Database) {
     // engine's relation bit for bit at every width (parallel round-0
     // rules, delta variants, strata levels, partitioned joins).
     for threads in [1usize, 2, 8] {
-        let par = exec::eval_datalog_all(Engine::Parallel(threads), &prog, db)
+        let wide = ExecOptions { threads, ..ExecOptions::default() };
+        let par = exec::eval_datalog_all_with(Engine::Indexed, &prog, db, wide)
             .unwrap_or_else(|e| {
                 panic!("parallel fixpoint failed (seed {prog_seed}, {threads}t): {e}\n{prog}")
             });

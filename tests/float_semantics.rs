@@ -15,7 +15,7 @@
 //! literal syntax for `NaN` or `-0.0`, which is exactly why these paths
 //! had no coverage before.
 
-use relviz::exec::{eval_ra, Engine};
+use relviz::exec::{eval_ra_with, Engine, ExecOptions};
 use relviz::model::{CmpOp, Database, DataType, Relation, Schema, Tuple, Value};
 use relviz::ra::{Operand, Predicate, RaExpr};
 
@@ -38,15 +38,19 @@ fn float_db() -> Database {
     db
 }
 
-/// Runs `e` on every engine, asserts agreement with the reference
+/// Runs `e` on every engine at one worker and on the physical engine
+/// at auto width (`threads: 0`), asserts agreement with the reference
 /// oracle, and returns the reference result for cardinality pinning.
 fn all_engines_agree(e: &RaExpr, db: &Database) -> Relation {
-    let oracle = eval_ra(Engine::Reference, e, db).expect("reference evaluation");
-    for engine in Engine::ALL {
-        let got = eval_ra(engine, e, db).expect("engine evaluation");
+    let oracle = eval_ra_with(Engine::Reference, e, db, ExecOptions::default())
+        .expect("reference evaluation");
+    let runs = Engine::ALL.into_iter().map(|e| (e, 1)).chain([(Engine::Indexed, 0)]);
+    for (engine, threads) in runs {
+        let opts = ExecOptions { threads, ..ExecOptions::default() };
+        let got = eval_ra_with(engine, e, db, opts).expect("engine evaluation");
         assert!(
             got.same_contents(&oracle),
-            "{} disagrees with the reference:\ngot {got}\nwant {oracle}",
+            "{} (threads={threads}) disagrees with the reference:\ngot {got}\nwant {oracle}",
             engine.name()
         );
     }

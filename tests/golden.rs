@@ -10,6 +10,7 @@ use std::path::PathBuf;
 
 use relviz::core::suite::SUITE;
 use relviz::core::{Backend, QueryVisualizer, VisFormalism};
+use relviz::exec::OptConfig;
 use relviz::model::catalog::sailors_sample;
 
 fn golden_dir() -> PathBuf {
@@ -129,7 +130,8 @@ fn explain_goldens_for_suite_plans() {
     let mut all = String::new();
     for q in SUITE {
         let ra = relviz::ra::parse::parse_ra(q.ra).unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let ra_plan = relviz::exec::plan_ra(&ra, &db).unwrap_or_else(|e| panic!("{}: {e}", q.id));
+        let ra_plan = relviz::exec::plan_ra_with(&ra, &db, OptConfig::optimized())
+            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
         all.push_str(&format!(
             "== {} (ra) ==\n{}",
             q.id,
@@ -137,8 +139,8 @@ fn explain_goldens_for_suite_plans() {
         ));
         let trc =
             relviz::rc::trc_parse::parse_trc(q.trc).unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let trc_plan =
-            relviz::exec::plan_trc(&trc, &db).unwrap_or_else(|e| panic!("{}: {e}", q.id));
+        let trc_plan = relviz::exec::plan_trc_with(&trc, &db, OptConfig::optimized())
+            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
         all.push_str(&format!(
             "== {} (trc) ==\n{}",
             q.id,
@@ -160,7 +162,7 @@ fn explain_goldens_for_datalog_plans() {
     for q in SUITE {
         let prog = relviz::datalog::parse::parse_program(q.datalog)
             .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let plan = relviz::exec::plan_datalog(&prog, &db)
+        let plan = relviz::exec::plan_datalog_with(&prog, &db, OptConfig::optimized())
             .unwrap_or_else(|e| panic!("{}: {e}", q.id));
         all.push_str(&format!(
             "== {} (datalog) ==\n{}",
@@ -179,7 +181,7 @@ fn explain_goldens_for_datalog_plans() {
         ),
     ] {
         let prog = relviz::datalog::parse::parse_program(src).unwrap();
-        let plan = relviz::exec::plan_datalog(&prog, &db2)
+        let plan = relviz::exec::plan_datalog_with(&prog, &db2, OptConfig::optimized())
             .unwrap_or_else(|e| panic!("{id}: {e}"));
         all.push_str(&format!(
             "== {id} (datalog) ==\n{}",
@@ -194,7 +196,7 @@ fn explain_goldens_for_magic_plans() {
     // The magic-sets demand transformation on the canonical bound-goal
     // recursive workloads: pins the generated magic/adorned program
     // text (seed facts, guard rules, adornment renames) and the
-    // fixpoint plan it lowers to — the shape `eval_datalog` actually
+    // fixpoint plan it lowers to — the shape `eval_datalog_with` actually
     // executes with the optimizer on.
     let db = relviz::model::generate::generate_binary_pair(11, 30, 12);
     let mut all = String::new();
@@ -217,7 +219,7 @@ fn explain_goldens_for_magic_plans() {
         let prog = relviz::datalog::parse::parse_program(src).unwrap();
         let magic = relviz::exec::magic_transform(&prog)
             .unwrap_or_else(|| panic!("{id}: bound goal must transform"));
-        let plan = relviz::exec::plan_datalog(&magic, &db)
+        let plan = relviz::exec::plan_datalog_with(&magic, &db, OptConfig::optimized())
             .unwrap_or_else(|e| panic!("{id}: {e}"));
         all.push_str(&format!(
             "== {id} (magic program) ==\n{magic}\n== {id} (magic plan) ==\n{}",
@@ -239,7 +241,7 @@ fn explain_goldens_for_parallel_plans() {
     for id in ["Q2", "Q5"] {
         let q = relviz::core::suite::by_id(id).unwrap();
         let trc = relviz::rc::trc_parse::parse_trc(q.trc).unwrap();
-        let plan = relviz::exec::plan_trc(&trc, &db).unwrap();
+        let plan = relviz::exec::plan_trc_with(&trc, &db, OptConfig::optimized()).unwrap();
         all.push_str(&format!(
             "== {id} (trc, parallel ×4) ==\n{}",
             relviz::exec::explain_parallel(&plan, 4)
@@ -259,7 +261,7 @@ fn explain_goldens_for_parallel_plans() {
         ),
     ] {
         let prog = relviz::datalog::parse::parse_program(src).unwrap();
-        let plan = relviz::exec::plan_datalog(&prog, &db2).unwrap();
+        let plan = relviz::exec::plan_datalog_with(&prog, &db2, OptConfig::optimized()).unwrap();
         all.push_str(&format!(
             "== {id} (datalog, parallel ×4) ==\n{}",
             relviz::exec::explain_datalog_parallel(&plan, 4)
@@ -300,7 +302,7 @@ fn diagnostics_golden_for_verifier_and_analyzer() {
     all.push_str("== suite (trc plans) ==\n");
     for q in SUITE {
         let trc = relviz::rc::trc_parse::parse_trc(q.trc).unwrap();
-        let plan = relviz::exec::plan_trc(&trc, &db).unwrap();
+        let plan = relviz::exec::plan_trc_with(&trc, &db, OptConfig::optimized()).unwrap();
         let diags = verify_plan(&plan, Some(&db));
         all.push_str(&format!("{}: {}", q.id, verification_footer(plan.node_count(), &diags)));
     }
@@ -358,7 +360,7 @@ fn diagnostics_golden_for_verifier_and_analyzer() {
         "tc(X, Y) :- R(X, Y).\ntc(X, Z) :- tc(X, Y), R(Y, Z).",
     )
     .unwrap();
-    let mut plan = relviz::exec::plan_datalog(&prog, &db2).unwrap();
+    let mut plan = relviz::exec::plan_datalog_with(&prog, &db2, OptConfig::optimized()).unwrap();
     for s in &mut plan.strata {
         for r in &mut s.rules {
             r.deltas.clear();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread;
 
 use relviz::core::suite::SUITE;
-use relviz::exec::{eval_datalog_with, eval_trc_with, run_sql_with, Engine, OptConfig};
+use relviz::exec::{eval_datalog_with, eval_trc_with, run_sql_with, Engine, ExecOptions};
 use relviz::model::catalog::sailors_sample;
 use relviz::model::text::parse_database;
 use relviz::model::Database;
@@ -52,7 +52,7 @@ fn body_of(resp: &Json) -> String {
 /// One-shot `Engine::Indexed` renderings of every suite query in the
 /// three languages the server evaluates.
 fn one_shot_suite(db: &Database) -> Vec<(&'static str, &'static str, String)> {
-    let cfg = OptConfig::current();
+    let cfg = ExecOptions::default();
     let mut expected = Vec::new();
     for q in SUITE {
         let rel = run_sql_with(Engine::Indexed, q.sql, db, cfg).expect(q.id);
@@ -103,14 +103,13 @@ fn concurrent_clients_are_byte_identical_to_one_shot() {
     }
 
     // Everything after the first round of misses was served from the
-    // prepared-plan cache: exec and parallel share plans, so there are
-    // 2 keys per (lang, text) at most... exactly: engines alternate, so
-    // both engine families got planned at least once per query.
+    // prepared-plan cache: exec and parallel are the same engine at two
+    // widths and share one plan, so there is one key per (lang, text).
     let stats = server.plan_cache().stats();
     assert!(stats.hits > 0, "repeat queries must hit the plan cache: {stats:?}");
     assert!(
-        stats.len <= 2 * expected.len(),
-        "at most one entry per (query, engine family): {stats:?}"
+        stats.len <= expected.len(),
+        "at most one entry per query, whatever its width: {stats:?}"
     );
 }
 
@@ -121,7 +120,7 @@ const GEN_QUERY_DATALOG: &str = "ans(A, B) :- R(A, B), B > 5.";
 /// Renders the one-shot answer of the generation-test queries against
 /// an explicit database state.
 fn gen_expected(db: &Database) -> (String, String) {
-    let cfg = OptConfig::current();
+    let cfg = ExecOptions::default();
     let trc = relviz::rc::trc_parse::parse_trc(GEN_QUERY_TRC).expect("trc parses");
     let t = eval_trc_with(Engine::Indexed, &trc, db, cfg).expect("trc evals");
     let prog = relviz::datalog::parse::parse_program(GEN_QUERY_DATALOG).expect("dl parses");

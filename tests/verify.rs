@@ -7,8 +7,8 @@
 //! cases, and by the debug-build hooks inside the planners themselves.
 
 use relviz::exec::{
-    check_plan, plan_datalog, plan_ra, render_diagnostics, verify_fixpoint, verify_plan,
-    ExecError, OutputCol, PhysPlan, Severity,
+    check_plan, plan_datalog_with, plan_ra_with, render_diagnostics, verify_fixpoint, verify_plan,
+    ExecError, OptConfig, OutputCol, PhysPlan, Severity,
 };
 use relviz::model::catalog::sailors_sample;
 use relviz::model::generate::generate_binary_pair;
@@ -100,7 +100,7 @@ fn delta_less_recursive_rule_is_rejected() {
         "tc(X, Y) :- R(X, Y).\ntc(X, Z) :- tc(X, Y), R(Y, Z).",
     )
     .unwrap();
-    let mut plan = plan_datalog(&prog, &db).unwrap();
+    let mut plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
     for s in &mut plan.strata {
         for r in &mut s.rules {
             r.deltas.clear();
@@ -116,9 +116,10 @@ fn delta_less_recursive_rule_is_rejected() {
 fn join_key_mutations_are_rejected() {
     let db = sailors_sample();
     let PhysPlan::HashJoin { mut left_keys, left, right, right_keys, right_keep, post, schema } =
-        (match plan_ra(
+        (match plan_ra_with(
             &relviz::ra::parse::parse_ra("Join(Sailor, Reserves)").unwrap(),
             &db,
+            OptConfig::optimized(),
         )
         .unwrap()
         {
@@ -161,17 +162,17 @@ fn suite_plans_verify_clean_through_every_planner() {
     let db = sailors_sample();
     for q in relviz::core::suite::SUITE {
         let ra = relviz::ra::parse::parse_ra(q.ra).unwrap();
-        let plan = plan_ra(&ra, &db).unwrap();
+        let plan = plan_ra_with(&ra, &db, OptConfig::optimized()).unwrap();
         let diags = verify_plan(&plan, Some(&db));
         assert!(diags.is_empty(), "{} (ra):\n{}", q.id, render_diagnostics(&diags));
 
         let trc = relviz::rc::trc_parse::parse_trc(q.trc).unwrap();
-        let plan = relviz::exec::plan_trc(&trc, &db).unwrap();
+        let plan = relviz::exec::plan_trc_with(&trc, &db, OptConfig::optimized()).unwrap();
         let diags = verify_plan(&plan, Some(&db));
         assert!(diags.is_empty(), "{} (trc):\n{}", q.id, render_diagnostics(&diags));
 
         let prog = relviz::datalog::parse::parse_program(q.datalog).unwrap();
-        let plan = plan_datalog(&prog, &db).unwrap();
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized()).unwrap();
         let diags = verify_fixpoint(&plan, Some(&db));
         assert!(diags.is_empty(), "{} (datalog):\n{}", q.id, render_diagnostics(&diags));
         // The analyzer may lint (warnings) but must not error.
