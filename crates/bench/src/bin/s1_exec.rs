@@ -28,6 +28,12 @@
 //! by recorded time; `--assert` gates the analyzed run at ≤5% (+0.1 ms
 //! noise floor) over the uninstrumented wall time.
 //!
+//! A `plan_suite` row records planning alone: the best-of-k wall time
+//! to plan, with the optimizer on and without executing, every suite
+//! query's SQL and TRC form against one resident `Source` (the slots a
+//! server keeps per database generation) over the generated database.
+//! It is recorded for the trajectory and not gated.
+//!
 //! Every snapshot row carries a `threads` field (1 for the serial
 //! engines). The deep exec-only size also runs on the physical engine
 //! at the machine's worker count, recorded as an `engine: "parallel"`
@@ -45,7 +51,7 @@ use relviz_exec::indexed::{Index, JoinKey};
 use relviz_exec::run::bench;
 use relviz_exec::{
     eval_datalog_analyzed_with, eval_datalog_with, execute, plan_ra_with, plan_trc_with, Engine,
-    ExecOptions, IndexedRelation, OptConfig, OutputCol,
+    ExecOptions, IndexedRelation, OptConfig, OutputCol, Slots, Source,
 };
 use relviz_model::generate::{generate_binary_pair, generate_sailors, GenConfig};
 use relviz_model::{CmpOp, Database, DataType, Relation, Schema, Tuple, Value};
@@ -179,6 +185,33 @@ fn run_workloads(n: usize, db: &Database) -> (Vec<Snapshot>, f64) {
     snaps.push(Snapshot { engine: "exec", query: "trc_q2", n, threads: 1, wall_ms: trc_exec_ms });
 
     (snaps, speedup)
+}
+
+/// Planning alone, never executing: every suite query's SQL and TRC
+/// form, each parsed (and the SQL translated) outside the timed region,
+/// planned with the optimizer on against one resident [`Source`]. The
+/// slots' sketches fill on the first pass, as a server's do on its
+/// first request.
+fn run_plan_suite(n: usize, db: &Database) -> Snapshot {
+    let queries: Vec<relviz_rc::TrcQuery> = relviz_core::suite::SUITE
+        .iter()
+        .flat_map(|q| {
+            [
+                relviz_rc::from_sql::parse_sql_to_trc(q.sql, db).expect("suite SQL translates"),
+                relviz_rc::trc_parse::parse_trc(q.trc).expect("suite TRC parses"),
+            ]
+        })
+        .collect();
+    let slots = Slots::new(db);
+    let src = Source::new(db, &slots);
+    let (wall_ms, ()) = time_ms(20, || {
+        for q in &queries {
+            std::hint::black_box(
+                plan_trc_with(q, &src, OptConfig::optimized()).expect("suite plans"),
+            );
+        }
+    });
+    Snapshot { engine: "exec", query: "plan_suite", n, threads: 1, wall_ms }
 }
 
 /// One recursive Datalog workload at one size (`m` edges over `m`
@@ -614,6 +647,7 @@ fn main() {
     snaps.extend(chain_snaps);
     let (magic_snaps, magic_speedup) = run_magic_workload(n);
     snaps.extend(magic_snaps);
+    snaps.push(run_plan_suite(n, &db));
 
     // The per-operator kernel rows (fixed sizes, see MICRO_SIZES).
     let (micro_snaps, filter_speedup) = run_operator_micros();

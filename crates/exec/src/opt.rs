@@ -550,69 +550,70 @@ const MAX_CHAIN: usize = 12;
 /// `(leaf, col) = (leaf, col)` pair.
 type JoinPred = ((usize, usize), (usize, usize));
 
-/// A flattened hash-join chain: its leaf plans, the equi-join
+/// A flattened hash-join chain: its leaf plans (borrowed from the plan;
+/// [`rebuild`] clones them only when a new order is kept), the equi-join
 /// predicates as `(leaf, col) = (leaf, col)` pairs, and the root's
 /// output columns as leaf-column occurrences.
-struct Chain {
-    leaves: Vec<PhysPlan>,
+struct Chain<'p> {
+    leaves: Vec<&'p PhysPlan>,
     preds: Vec<JoinPred>,
     out: Vec<(usize, usize)>,
 }
 
-/// Flattens a maximal residual-free hash-join chain. Joins carrying a
-/// residual `post` predicate terminate the chain (their predicate is
-/// written in the *inputs'* names, which reordering would invalidate).
-fn flatten(plan: &PhysPlan) -> Option<Chain> {
-    match plan {
-        PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post: None, .. } => {
-            let lc = flatten(left).unwrap_or_else(|| leaf_chain(left));
-            let mut rc = flatten(right).unwrap_or_else(|| leaf_chain(right));
-            let off = lc.leaves.len();
-            for ((al, _), (bl, _)) in &mut rc.preds {
-                *al += off;
-                *bl += off;
-            }
-            for (l, _) in &mut rc.out {
-                *l += off;
-            }
-            let mut preds = lc.preds;
-            preds.extend(rc.preds);
-            for (lk, rk) in left_keys.iter().zip(right_keys) {
-                preds.push((*lc.out.get(*lk)?, *rc.out.get(*rk)?));
-            }
-            let mut out = lc.out;
-            for rk in right_keep {
-                out.push(*rc.out.get(*rk)?);
-            }
-            let mut leaves = lc.leaves;
-            leaves.extend(rc.leaves);
-            Some(Chain { leaves, preds, out })
-        }
-        _ => None,
+/// Flattens a maximal residual-free hash-join chain; any other node is a
+/// one-leaf chain. Joins carrying a residual `post` predicate terminate
+/// the chain (their predicate is written in the *inputs'* names, which
+/// reordering would invalidate). `None` when a key or kept column is
+/// outside its input's columns.
+fn flatten(plan: &PhysPlan) -> Option<Chain<'_>> {
+    let PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post: None, .. } =
+        plan
+    else {
+        let arity = plan.schema().arity();
+        return Some(Chain {
+            leaves: vec![plan],
+            preds: Vec::new(),
+            out: (0..arity).map(|c| (0, c)).collect(),
+        });
+    };
+    let lc = flatten(left)?;
+    let mut rc = flatten(right)?;
+    let off = lc.leaves.len();
+    for ((al, _), (bl, _)) in &mut rc.preds {
+        *al += off;
+        *bl += off;
     }
+    for (l, _) in &mut rc.out {
+        *l += off;
+    }
+    let mut preds = lc.preds;
+    preds.extend(rc.preds);
+    for (lk, rk) in left_keys.iter().zip(right_keys) {
+        preds.push((*lc.out.get(*lk)?, *rc.out.get(*rk)?));
+    }
+    let mut out = lc.out;
+    for rk in right_keep {
+        out.push(*rc.out.get(*rk)?);
+    }
+    let mut leaves = lc.leaves;
+    leaves.extend(rc.leaves);
+    Some(Chain { leaves, preds, out })
 }
 
-fn leaf_chain(plan: &PhysPlan) -> Chain {
-    let arity = plan.schema().arity();
-    Chain {
-        leaves: vec![plan.clone()],
-        preds: Vec::new(),
-        out: (0..arity).map(|c| (0, c)).collect(),
-    }
-}
-
-/// Estimated cost of executing a join tree: every join pays its build
-/// input's rows plus its output rows (probe work tracks output size).
-fn tree_cost(plan: &PhysPlan, ctx: &EstCtx<'_>) -> (Est, f64) {
+/// Estimated cost of executing a join chain in its written order: every
+/// join pays its build input's rows plus its output rows (probe work
+/// tracks output size). `leaf_ests` yields the estimates of the chain's
+/// leaves in [`flatten`] order.
+fn tree_cost(plan: &PhysPlan, leaf_ests: &mut std::slice::Iter<'_, Est>) -> Option<(Est, f64)> {
     match plan {
         PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post: None, .. } => {
-            let (le, lcost) = tree_cost(left, ctx);
-            let (re, rcost) = tree_cost(right, ctx);
+            let (le, lcost) = tree_cost(left, leaf_ests)?;
+            let (re, rcost) = tree_cost(right, leaf_ests)?;
             let est = join_est(&le, &re, left_keys, right_keys, right_keep, None);
             let cost = lcost + rcost + re.rows + est.rows;
-            (est, cost)
+            Some((est, cost))
         }
-        other => (quiet_est(other, ctx), 0.0),
+        _ => Some((leaf_ests.next()?.clone(), 0.0)),
     }
 }
 
@@ -795,13 +796,13 @@ fn rebuild(chain: &Chain, order: &[usize], original_schema: &Schema) -> Option<P
     }
     let mut it = order.iter();
     let first = *it.next()?;
-    let mut acc = chain.leaves.get(first)?.clone();
+    let mut acc = PhysPlan::clone(chain.leaves.get(first)?);
     let mut acc_cols: Vec<(usize, usize)> =
         (0..acc.schema().arity()).map(|c| (first, c)).collect();
     let mut placed = vec![false; chain.leaves.len()];
     *placed.get_mut(first)? = true;
     for &j in it {
-        let leaf = chain.leaves.get(j)?.clone();
+        let leaf = PhysPlan::clone(chain.leaves.get(j)?);
         let mut left_keys = Vec::new();
         let mut right_keys = Vec::new();
         for (a, b) in &chain.preds {
@@ -861,7 +862,7 @@ fn rewrite(plan: PhysPlan, ctx: &EstCtx<'_>) -> PhysPlan {
             return better;
         }
     }
-    map_children(plan, |c| rewrite(c, ctx))
+    plan.map_children(|c| rewrite(c, ctx))
 }
 
 fn try_reorder(plan: &PhysPlan, ctx: &EstCtx<'_>) -> Option<PhysPlan> {
@@ -871,7 +872,7 @@ fn try_reorder(plan: &PhysPlan, ctx: &EstCtx<'_>) -> Option<PhysPlan> {
         return None;
     }
     let ests: Vec<Est> = chain.leaves.iter().map(|l| quiet_est(l, ctx)).collect();
-    let (_, orig_cost) = tree_cost(plan, ctx);
+    let (_, orig_cost) = tree_cost(plan, &mut ests.iter())?;
     let (order, new_cost) = greedy_order(&chain, &ests);
     if order.len() != n || new_cost >= orig_cost * IMPROVEMENT {
         return None;
@@ -887,67 +888,14 @@ fn map_children_shallow_leaves(plan: PhysPlan, ctx: &EstCtx<'_>) -> PhysPlan {
     match plan {
         PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post, schema } => {
             let left = Box::new(map_children_shallow_leaves(*left, ctx));
-            let right = Box::new(map_children(*right, |c| rewrite(c, ctx)));
+            let right = Box::new((*right).map_children(|c| rewrite(c, ctx)));
             PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post, schema }
         }
         PhysPlan::Project { cols, input, schema } => {
             let input = Box::new(map_children_shallow_leaves(*input, ctx));
             PhysPlan::Project { cols, input, schema }
         }
-        other => map_children(other, |c| rewrite(c, ctx)),
-    }
-}
-
-/// Structure-preserving map over a node's direct children.
-fn map_children(plan: PhysPlan, mut f: impl FnMut(PhysPlan) -> PhysPlan) -> PhysPlan {
-    match plan {
-        leafy @ (PhysPlan::Scan { .. }
-        | PhysPlan::ScanIdb { .. }
-        | PhysPlan::ScanDelta { .. }
-        | PhysPlan::Values { .. }) => leafy,
-        PhysPlan::Filter { pred, input, schema } => {
-            PhysPlan::Filter { pred, input: Box::new(f(*input)), schema }
-        }
-        PhysPlan::Project { cols, input, schema } => {
-            PhysPlan::Project { cols, input: Box::new(f(*input)), schema }
-        }
-        PhysPlan::Dedup { input, schema } => {
-            PhysPlan::Dedup { input: Box::new(f(*input)), schema }
-        }
-        PhysPlan::Shared { id, input, schema } => {
-            PhysPlan::Shared { id, input: Box::new(f(*input)), schema }
-        }
-        PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post, schema } => {
-            PhysPlan::HashJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
-                left_keys,
-                right_keys,
-                right_keep,
-                post,
-                schema,
-            }
-        }
-        PhysPlan::SemiJoin { left, right, left_keys, right_keys, schema } => PhysPlan::SemiJoin {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            schema,
-        },
-        PhysPlan::AntiJoin { left, right, left_keys, right_keys, schema } => PhysPlan::AntiJoin {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            schema,
-        },
-        PhysPlan::Union { left, right, schema } => {
-            PhysPlan::Union { left: Box::new(f(*left)), right: Box::new(f(*right)), schema }
-        }
-        PhysPlan::Diff { left, right, schema } => {
-            PhysPlan::Diff { left: Box::new(f(*left)), right: Box::new(f(*right)), schema }
-        }
+        other => other.map_children(|c| rewrite(c, ctx)),
     }
 }
 

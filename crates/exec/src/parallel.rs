@@ -62,10 +62,11 @@ pub(crate) const PAR_MIN_ROWS: usize = 1024;
 /// sequentially (the round barrier would out-cost the round).
 pub(crate) const PAR_MIN_DELTA: usize = 64;
 
-/// Upper bound on a worker count taken from the environment. A value
-/// past this is a typo or a unit confusion (`RELVIZ_THREADS=1e9`), not
-/// a machine — spawning it would exhaust memory on thread stacks.
-const MAX_ENV_THREADS: usize = 1024;
+/// Upper bound on any worker count, requested or taken from the
+/// environment. A value past this is a typo, a unit confusion
+/// (`RELVIZ_THREADS=1e9`) or a hostile request, not a machine: spawning
+/// it would exhaust memory on thread stacks.
+const MAX_THREADS: usize = 1024;
 
 /// Resolves a requested worker count: `0` means *auto* — the
 /// `RELVIZ_THREADS` environment variable if set (how CI drives the
@@ -73,16 +74,16 @@ const MAX_ENV_THREADS: usize = 1024;
 /// available hardware parallelism.
 ///
 /// An invalid `RELVIZ_THREADS` (non-numeric, `0`, negative, empty, or
-/// past [`MAX_ENV_THREADS`]) **falls back to hardware parallelism with
+/// past [`MAX_THREADS`]) **falls back to hardware parallelism with
 /// a one-time warning** instead of being silently ignored or honored —
 /// a misconfigured deployment degrades to a sane width, visibly.
 ///
 /// This is the only place the environment is read, and callers should
 /// read it **once per request, at request construction** — resolve the
 /// width up front and carry the explicit count (`ExecOptions::threads`
-/// of `n ≥ 1` resolves verbatim). A long-lived server resolving the
-/// env per *operator* would race any concurrent mutation of the
-/// process-global environment; resolving per request makes each
+/// of `n ≥ 1` resolves to itself, up to the cap). A long-lived server
+/// resolving the env per *operator* would race any concurrent mutation
+/// of the process-global environment; resolving per request makes each
 /// request's width a plain value. Tests exercise the policy through the
 /// pure [`resolve_threads_from`] instead of mutating the process
 /// environment (the libc environment is a shared mutable global, and
@@ -92,17 +93,17 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// The pure resolution policy behind [`resolve_threads`]: an explicit
-/// request wins verbatim; otherwise a valid `env` value (what
-/// `RELVIZ_THREADS` held at request construction) wins; otherwise — or
-/// on an unusable value, with a one-time warning — the machine's
-/// hardware parallelism.
+/// request wins, capped at [`MAX_THREADS`]; otherwise a valid `env`
+/// value (what `RELVIZ_THREADS` held at request construction) wins;
+/// otherwise — or on an unusable value, with a one-time warning — the
+/// machine's hardware parallelism.
 pub fn resolve_threads_from(requested: usize, env: Option<&str>) -> usize {
     if requested > 0 {
-        return requested;
+        return requested.min(MAX_THREADS);
     }
     if let Some(v) = env {
         match v.parse::<usize>() {
-            Ok(n) if (1..=MAX_ENV_THREADS).contains(&n) => return n,
+            Ok(n) if (1..=MAX_THREADS).contains(&n) => return n,
             _ => warn_bad_env(v),
         }
     }
@@ -121,7 +122,7 @@ fn warn_bad_env(value: &str) {
     WARNED.call_once(|| {
         eprintln!(
             "relviz: RELVIZ_THREADS=`{value}` is not a worker count in \
-             1..={MAX_ENV_THREADS}; falling back to hardware parallelism"
+             1..={MAX_THREADS}; falling back to hardware parallelism"
         );
     });
 }
@@ -528,9 +529,19 @@ mod tests {
         // the plain hardware default.
         assert_eq!(resolve_threads_from(0, Some("6")), 6);
         assert_eq!(resolve_threads_from(0, None), hw);
-        // An explicit request is never second-guessed.
+        // An explicit request is never second-guessed below the cap.
         assert_eq!(resolve_threads_from(1, Some("6")), 1);
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(7), 7);
+    }
+
+    /// An explicit request past [`MAX_THREADS`] resolves to the cap, the
+    /// same limit `RELVIZ_THREADS` has. Only the pure policy runs: no
+    /// thread is started.
+    #[test]
+    fn explicit_requests_are_capped() {
+        assert_eq!(resolve_threads_from(usize::MAX, None), 1024);
+        assert_eq!(resolve_threads_from(1025, Some("6")), 1024);
+        assert_eq!(resolve_threads_from(1024, None), 1024);
     }
 }

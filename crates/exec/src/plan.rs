@@ -207,6 +207,60 @@ impl PhysPlan {
             | PhysPlan::Diff { left, right, .. } => 1 + left.node_count() + right.node_count(),
         }
     }
+
+    /// Structure-preserving map over the node's direct children, left
+    /// before right.
+    pub(crate) fn map_children(self, mut f: impl FnMut(PhysPlan) -> PhysPlan) -> PhysPlan {
+        match self {
+            leafy @ (PhysPlan::Scan { .. }
+            | PhysPlan::ScanIdb { .. }
+            | PhysPlan::ScanDelta { .. }
+            | PhysPlan::Values { .. }) => leafy,
+            PhysPlan::Filter { pred, input, schema } => {
+                PhysPlan::Filter { pred, input: Box::new(f(*input)), schema }
+            }
+            PhysPlan::Project { cols, input, schema } => {
+                PhysPlan::Project { cols, input: Box::new(f(*input)), schema }
+            }
+            PhysPlan::Dedup { input, schema } => {
+                PhysPlan::Dedup { input: Box::new(f(*input)), schema }
+            }
+            PhysPlan::Shared { id, input, schema } => {
+                PhysPlan::Shared { id, input: Box::new(f(*input)), schema }
+            }
+            PhysPlan::HashJoin { left, right, left_keys, right_keys, right_keep, post, schema } => {
+                PhysPlan::HashJoin {
+                    left: Box::new(f(*left)),
+                    right: Box::new(f(*right)),
+                    left_keys,
+                    right_keys,
+                    right_keep,
+                    post,
+                    schema,
+                }
+            }
+            PhysPlan::SemiJoin { left, right, left_keys, right_keys, schema } => PhysPlan::SemiJoin {
+                left: Box::new(f(*left)),
+                right: Box::new(f(*right)),
+                left_keys,
+                right_keys,
+                schema,
+            },
+            PhysPlan::AntiJoin { left, right, left_keys, right_keys, schema } => PhysPlan::AntiJoin {
+                left: Box::new(f(*left)),
+                right: Box::new(f(*right)),
+                left_keys,
+                right_keys,
+                schema,
+            },
+            PhysPlan::Union { left, right, schema } => {
+                PhysPlan::Union { left: Box::new(f(*left)), right: Box::new(f(*right)), schema }
+            }
+            PhysPlan::Diff { left, right, schema } => {
+                PhysPlan::Diff { left: Box::new(f(*left)), right: Box::new(f(*right)), schema }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@
 //! ([`share_common_subplans`]): structurally identical sub-plans — the
 //! outer context a quantifier build side re-plans, the duplicated
 //! operands of `∨`/`¬`/division — are wrapped in [`PhysPlan::Shared`]
-//! nodes and execute once per query.
+//! nodes and execute once per query. The pass value-numbers the plan in
+//! time linear in its size: every node gets a class id keyed on its
+//! variant, its own fields and its children's class ids. Two sub-plans
+//! get one class exactly when their derived `Debug` forms are equal,
+//! which is stricter than `Value`'s `Eq` (that equates `Int(1)` and
+//! `Float(1.0)`): sub-plans differing in a constant's type, a zero's
+//! sign or an attribute's type are never shared.
 
 use relviz_model::{Attribute, Database, Schema};
 use relviz_ra::typing::schema_of;
@@ -35,9 +41,9 @@ use crate::slots::Source;
 // ---------------------------------------------------------------------------
 
 /// Wraps structurally identical non-leaf sub-plans in
-/// [`PhysPlan::Shared`] nodes keyed on a canonical fingerprint, so the
-/// executor computes each one once per query and hands every other
-/// occurrence a storage-shared clone of the cached batch.
+/// [`PhysPlan::Shared`] nodes, so the executor computes each one once
+/// per query and hands every other occurrence a storage-shared clone of
+/// the cached batch.
 ///
 /// Duplicated sub-plans are endemic to the lowerings, not an edge case:
 /// TRC quantifier decorrelation re-plans the outer context inside every
@@ -48,169 +54,160 @@ use crate::slots::Source;
 /// larger shared plan is still computed once (identical subtrees are
 /// rewritten identically, keeping every occurrence of an id equal).
 ///
+/// Identity is decided by **value numbering**, in two passes that each
+/// key every node once. The bottom-up pass ([`Classes::number`]) gives
+/// every node a class id, keyed on its variant, its own fields and its
+/// children's class ids, and counts each class's occurrences. The
+/// top-down pass ([`Classes::share`]) wraps every non-leaf node whose
+/// class occurs more than once, numbering `Shared` ids by first
+/// occurrence in pre-order.
+///
+/// The key is exactly as strict as the nodes' derived `Debug` form:
+/// two sub-plans share a class exactly when their whole `Debug` strings
+/// are equal. Constants compare by variant and printed value, so
+/// `Int(1)` and `Float(1.0)` differ, as do `-0.0` and `0.0`; attributes
+/// compare by name and type. `Value`'s `Eq` is coarser (`Int(1) ==
+/// Float(1.0)` under its total order), so `PhysPlan` must not be keyed
+/// through derived `Hash`/`Eq`: that would share sub-plans whose output
+/// types differ.
+///
 /// Must not be applied to fixpoint rule plans: a `Shared` result is
 /// cached for the whole execution, but `ScanIdb`/`ScanDelta` contents
 /// change every round.
 fn share_common_subplans(plan: PhysPlan) -> PhysPlan {
-    fn is_leaf(p: &PhysPlan) -> bool {
-        matches!(
-            p,
-            PhysPlan::Scan { .. }
-                | PhysPlan::ScanIdb { .. }
-                | PhysPlan::ScanDelta { .. }
-                | PhysPlan::Values { .. }
-        )
-    }
+    let mut classes = Classes::default();
+    classes.number(&plan);
+    classes.share(plan)
+}
 
-    /// The canonical fingerprint: the derived `Debug` form is fully
-    /// structural (schemas, keys, predicates, constants), so equal
-    /// strings mean behaviorally identical sub-plans.
-    fn fingerprint(p: &PhysPlan) -> String {
-        format!("{p:?}")
-    }
+fn is_leaf(p: &PhysPlan) -> bool {
+    matches!(
+        p,
+        PhysPlan::Scan { .. }
+            | PhysPlan::ScanIdb { .. }
+            | PhysPlan::ScanDelta { .. }
+            | PhysPlan::Values { .. }
+    )
+}
 
-    fn count(p: &PhysPlan, counts: &mut std::collections::HashMap<String, u32>) {
-        if !is_leaf(p) {
-            *counts.entry(fingerprint(p)).or_insert(0) += 1;
-        }
-        match p {
+/// The value-numbering state of one [`share_common_subplans`] run.
+#[derive(Default)]
+struct Classes {
+    /// Class id of each distinct node key; ids are dense, in first-key
+    /// order. The default hasher: keys carry client-supplied constants.
+    ids: std::collections::HashMap<String, u32>,
+    /// Occurrences per class id.
+    counts: Vec<u32>,
+    /// Every node's class id, in pre-order.
+    pre_order: Vec<u32>,
+    /// Scratch buffer the current node's key is written into.
+    key: String,
+}
+
+impl Classes {
+    /// Numbers `p`'s subtree bottom-up, recording each node's class in
+    /// pre-order, and returns `p`'s class.
+    fn number(&mut self, p: &PhysPlan) -> u32 {
+        let slot = self.pre_order.len();
+        self.pre_order.push(0);
+        let children = match p {
             PhysPlan::Scan { .. }
             | PhysPlan::ScanIdb { .. }
             | PhysPlan::ScanDelta { .. }
-            | PhysPlan::Values { .. } => {}
+            | PhysPlan::Values { .. } => [None, None],
             PhysPlan::Filter { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Dedup { input, .. }
-            | PhysPlan::Shared { input, .. } => count(input, counts),
+            | PhysPlan::Shared { input, .. } => [Some(self.number(input)), None],
             PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::SemiJoin { left, right, .. }
             | PhysPlan::AntiJoin { left, right, .. }
             | PhysPlan::Union { left, right, .. }
             | PhysPlan::Diff { left, right, .. } => {
-                count(left, counts);
-                count(right, counts);
-            }
-        }
-    }
-
-    struct Ids {
-        by_fingerprint: std::collections::HashMap<String, u32>,
-        next: u32,
-    }
-
-    fn rewrite(
-        p: PhysPlan,
-        counts: &std::collections::HashMap<String, u32>,
-        ids: &mut Ids,
-    ) -> PhysPlan {
-        // Decide on the *pre-rewrite* fingerprint (ids are assigned in
-        // traversal order, so identical subtrees rewrite identically),
-        // then descend either way — nested duplicates share too.
-        let wrap_as = if is_leaf(&p) {
-            None
-        } else {
-            let fp = fingerprint(&p);
-            if counts.get(&fp).copied().unwrap_or(0) > 1 {
-                Some(*ids.by_fingerprint.entry(fp).or_insert_with(|| {
-                    let id = ids.next;
-                    ids.next += 1;
-                    id
-                }))
-            } else {
-                None
+                [Some(self.number(left)), Some(self.number(right))]
             }
         };
-        let rewritten = descend(p, counts, ids);
-        match wrap_as {
-            Some(id) => {
-                let schema = rewritten.schema().clone();
-                PhysPlan::Shared { id, input: Box::new(rewritten), schema }
+        self.key.clear();
+        write_key(&mut self.key, p, children);
+        let class = match self.ids.get(&self.key) {
+            Some(&class) => class,
+            None => {
+                let class = self.counts.len() as u32;
+                self.ids.insert(self.key.clone(), class);
+                self.counts.push(0);
+                class
             }
-            None => rewritten,
+        };
+        if let Some(n) = self.counts.get_mut(class as usize) {
+            *n += 1;
         }
+        if let Some(s) = self.pre_order.get_mut(slot) {
+            *s = class;
+        }
+        class
     }
 
-    fn descend(
-        p: PhysPlan,
-        counts: &std::collections::HashMap<String, u32>,
-        ids: &mut Ids,
-    ) -> PhysPlan {
-        match p {
-            leaf @ (PhysPlan::Scan { .. }
-            | PhysPlan::ScanIdb { .. }
-            | PhysPlan::ScanDelta { .. }
-            | PhysPlan::Values { .. }) => leaf,
-            PhysPlan::Filter { pred, input, schema } => PhysPlan::Filter {
-                pred,
-                input: Box::new(rewrite(*input, counts, ids)),
-                schema,
-            },
-            PhysPlan::Project { cols, input, schema } => PhysPlan::Project {
-                cols,
-                input: Box::new(rewrite(*input, counts, ids)),
-                schema,
-            },
-            PhysPlan::Dedup { input, schema } => PhysPlan::Dedup {
-                input: Box::new(rewrite(*input, counts, ids)),
-                schema,
-            },
-            PhysPlan::Shared { id, input, schema } => PhysPlan::Shared {
-                id,
-                input: Box::new(rewrite(*input, counts, ids)),
-                schema,
-            },
-            PhysPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                right_keep,
-                post,
-                schema,
-            } => PhysPlan::HashJoin {
-                left: Box::new(rewrite(*left, counts, ids)),
-                right: Box::new(rewrite(*right, counts, ids)),
-                left_keys,
-                right_keys,
-                right_keep,
-                post,
-                schema,
-            },
-            PhysPlan::SemiJoin { left, right, left_keys, right_keys, schema } => {
-                PhysPlan::SemiJoin {
-                    left: Box::new(rewrite(*left, counts, ids)),
-                    right: Box::new(rewrite(*right, counts, ids)),
-                    left_keys,
-                    right_keys,
-                    schema,
+    /// The top-down rewrite of the plan [`Classes::number`] numbered.
+    fn share(&self, plan: PhysPlan) -> PhysPlan {
+        fn go(
+            p: PhysPlan,
+            classes: &mut std::slice::Iter<'_, u32>,
+            counts: &[u32],
+            shared: &mut std::collections::HashMap<u32, u32>,
+        ) -> PhysPlan {
+            // Decide on the node's own class, then descend either way —
+            // nested duplicates share too.
+            let class = classes.next().copied();
+            let wrap_as = match class {
+                Some(c) if !is_leaf(&p) && counts.get(c as usize).is_some_and(|&n| n > 1) => {
+                    let next = shared.len() as u32;
+                    Some(*shared.entry(c).or_insert(next))
                 }
-            }
-            PhysPlan::AntiJoin { left, right, left_keys, right_keys, schema } => {
-                PhysPlan::AntiJoin {
-                    left: Box::new(rewrite(*left, counts, ids)),
-                    right: Box::new(rewrite(*right, counts, ids)),
-                    left_keys,
-                    right_keys,
-                    schema,
+                _ => None,
+            };
+            let rewritten = p.map_children(|c| go(c, classes, counts, shared));
+            match wrap_as {
+                Some(id) => {
+                    let schema = rewritten.schema().clone();
+                    PhysPlan::Shared { id, input: Box::new(rewritten), schema }
                 }
+                None => rewritten,
             }
-            PhysPlan::Union { left, right, schema } => PhysPlan::Union {
-                left: Box::new(rewrite(*left, counts, ids)),
-                right: Box::new(rewrite(*right, counts, ids)),
-                schema,
-            },
-            PhysPlan::Diff { left, right, schema } => PhysPlan::Diff {
-                left: Box::new(rewrite(*left, counts, ids)),
-                right: Box::new(rewrite(*right, counts, ids)),
-                schema,
-            },
         }
+        go(plan, &mut self.pre_order.iter(), &self.counts, &mut Default::default())
     }
+}
 
-    let mut counts = std::collections::HashMap::new();
-    count(&plan, &mut counts);
-    let mut ids = Ids { by_fingerprint: std::collections::HashMap::new(), next: 0 };
-    rewrite(plan, &counts, &mut ids)
+/// Writes `p`'s class key: its variant and own fields in derived
+/// `Debug` form (each self-delimiting), then its children's class ids.
+fn write_key(key: &mut String, p: &PhysPlan, children: [Option<u32>; 2]) {
+    use std::fmt::Write as _;
+    // Writing into a `String` cannot fail.
+    let _ = match p {
+        PhysPlan::Scan { rel, schema } => write!(key, "Scan{rel:?}{schema:?}"),
+        PhysPlan::ScanIdb { rel, schema } => write!(key, "ScanIdb{rel:?}{schema:?}"),
+        PhysPlan::ScanDelta { rel, schema } => write!(key, "ScanDelta{rel:?}{schema:?}"),
+        PhysPlan::Values { rows, schema } => write!(key, "Values{rows:?}{schema:?}"),
+        PhysPlan::Filter { pred, schema, .. } => write!(key, "Filter{pred:?}{schema:?}"),
+        PhysPlan::Project { cols, schema, .. } => write!(key, "Project{cols:?}{schema:?}"),
+        PhysPlan::HashJoin { left_keys, right_keys, right_keep, post, schema, .. } => write!(
+            key,
+            "HashJoin{left_keys:?}{right_keys:?}{right_keep:?}{post:?}{schema:?}"
+        ),
+        PhysPlan::SemiJoin { left_keys, right_keys, schema, .. } => {
+            write!(key, "SemiJoin{left_keys:?}{right_keys:?}{schema:?}")
+        }
+        PhysPlan::AntiJoin { left_keys, right_keys, schema, .. } => {
+            write!(key, "AntiJoin{left_keys:?}{right_keys:?}{schema:?}")
+        }
+        PhysPlan::Union { schema, .. } => write!(key, "Union{schema:?}"),
+        PhysPlan::Diff { schema, .. } => write!(key, "Diff{schema:?}"),
+        PhysPlan::Dedup { schema, .. } => write!(key, "Dedup{schema:?}"),
+        PhysPlan::Shared { id, schema, .. } => write!(key, "Shared{id}{schema:?}"),
+    };
+    for class in children.into_iter().flatten() {
+        let _ = write!(key, "#{class}");
+    }
 }
 
 /// Groups a plan's `Shared` sub-plans into **concurrency levels** for
@@ -306,15 +303,22 @@ pub fn plan_ra_with<'a>(
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<PhysPlan> {
     let src = db.into();
+    let plan = share_common_subplans(ra_before_cse(expr, &src, cfg)?);
+    crate::verify::debug_verify_plan(&plan, src.db());
+    Ok(plan)
+}
+
+/// The RA plan the common-subplan pass receives: lowered and, under
+/// `cfg.reorder`, join-reordered.
+fn ra_before_cse(
+    expr: &RaExpr,
+    src: &Source<'_>,
+    cfg: crate::opt::OptConfig,
+) -> ExecResult<PhysPlan> {
     let db = src.db();
     schema_of(expr, db)?; // surface type errors with the RA crate's messages
-    let mut plan = lower_ra(expr, db)?;
-    if cfg.reorder {
-        plan = crate::opt::reorder_plan(plan, &src);
-    }
-    let plan = share_common_subplans(plan);
-    crate::verify::debug_verify_plan(&plan, db);
-    Ok(plan)
+    let plan = lower_ra(expr, db)?;
+    Ok(if cfg.reorder { crate::opt::reorder_plan(plan, src) } else { plan })
 }
 
 fn lower_ra(expr: &RaExpr, db: &Database) -> ExecResult<PhysPlan> {
@@ -714,6 +718,18 @@ pub fn plan_trc_with<'a>(
     cfg: crate::opt::OptConfig,
 ) -> ExecResult<PhysPlan> {
     let src = db.into();
+    let plan = share_common_subplans(trc_before_cse(q, &src, cfg)?);
+    crate::verify::debug_verify_plan(&plan, src.db());
+    Ok(plan)
+}
+
+/// The TRC plan the common-subplan pass receives: lowered and, under
+/// `cfg.reorder`, join-reordered.
+fn trc_before_cse(
+    q: &TrcQuery,
+    src: &Source<'_>,
+    cfg: crate::opt::OptConfig,
+) -> ExecResult<PhysPlan> {
     let db = src.db();
     let head_types = check_query(q, db)?;
     let q = q.eliminate_forall();
@@ -743,15 +759,12 @@ pub fn plan_trc_with<'a>(
         branch_plans.push(project(sat, cols, schema));
     }
     let many = branch_plans.len() > 1;
-    let plan = branch_plans
+    branch_plans
         .into_iter()
         .reduce(union)
         .map(|p| if many { dedup(p) } else { p })
-        .map(|p| if cfg.reorder { crate::opt::reorder_plan(p, &src) } else { p })
-        .map(share_common_subplans)
-        .ok_or_else(|| ExecError::Plan("query has no branches".into()))?;
-    crate::verify::debug_verify_plan(&plan, db);
-    Ok(plan)
+        .map(|p| if cfg.reorder { crate::opt::reorder_plan(p, src) } else { p })
+        .ok_or_else(|| ExecError::Plan("query has no branches".into()))
 }
 
 /// A scan of `binding.rel` with every attribute mangled to `var__attr`.
@@ -1062,5 +1075,360 @@ mod tests {
         let db = sailors_sample();
         let q = TrcQuery { branches: vec![] };
         assert!(plan_trc_with(&q, &db, OptConfig::optimized()).is_err());
+    }
+
+    // -- the common-subplan pass against its Debug-string oracle ----------
+
+    /// The common-subplan pass as it was before value numbering, kept as
+    /// the oracle: it fingerprints every non-leaf subtree by its whole
+    /// derived `Debug` string, once to count and again to rewrite
+    /// (quadratic in plan size, so test-only).
+    fn debug_string_cse(plan: PhysPlan) -> PhysPlan {
+        fn is_leaf(p: &PhysPlan) -> bool {
+            matches!(
+                p,
+                PhysPlan::Scan { .. }
+                    | PhysPlan::ScanIdb { .. }
+                    | PhysPlan::ScanDelta { .. }
+                    | PhysPlan::Values { .. }
+            )
+        }
+
+        /// The canonical fingerprint: the derived `Debug` form is fully
+        /// structural (schemas, keys, predicates, constants), so equal
+        /// strings mean behaviorally identical sub-plans.
+        fn fingerprint(p: &PhysPlan) -> String {
+            format!("{p:?}")
+        }
+
+        fn count(p: &PhysPlan, counts: &mut std::collections::HashMap<String, u32>) {
+            if !is_leaf(p) {
+                *counts.entry(fingerprint(p)).or_insert(0) += 1;
+            }
+            match p {
+                PhysPlan::Scan { .. }
+                | PhysPlan::ScanIdb { .. }
+                | PhysPlan::ScanDelta { .. }
+                | PhysPlan::Values { .. } => {}
+                PhysPlan::Filter { input, .. }
+                | PhysPlan::Project { input, .. }
+                | PhysPlan::Dedup { input, .. }
+                | PhysPlan::Shared { input, .. } => count(input, counts),
+                PhysPlan::HashJoin { left, right, .. }
+                | PhysPlan::SemiJoin { left, right, .. }
+                | PhysPlan::AntiJoin { left, right, .. }
+                | PhysPlan::Union { left, right, .. }
+                | PhysPlan::Diff { left, right, .. } => {
+                    count(left, counts);
+                    count(right, counts);
+                }
+            }
+        }
+
+        struct Ids {
+            by_fingerprint: std::collections::HashMap<String, u32>,
+            next: u32,
+        }
+
+        fn rewrite(
+            p: PhysPlan,
+            counts: &std::collections::HashMap<String, u32>,
+            ids: &mut Ids,
+        ) -> PhysPlan {
+            // Decide on the *pre-rewrite* fingerprint (ids are assigned in
+            // traversal order, so identical subtrees rewrite identically),
+            // then descend either way — nested duplicates share too.
+            let wrap_as = if is_leaf(&p) {
+                None
+            } else {
+                let fp = fingerprint(&p);
+                if counts.get(&fp).copied().unwrap_or(0) > 1 {
+                    Some(*ids.by_fingerprint.entry(fp).or_insert_with(|| {
+                        let id = ids.next;
+                        ids.next += 1;
+                        id
+                    }))
+                } else {
+                    None
+                }
+            };
+            let rewritten = descend(p, counts, ids);
+            match wrap_as {
+                Some(id) => {
+                    let schema = rewritten.schema().clone();
+                    PhysPlan::Shared { id, input: Box::new(rewritten), schema }
+                }
+                None => rewritten,
+            }
+        }
+
+        fn descend(
+            p: PhysPlan,
+            counts: &std::collections::HashMap<String, u32>,
+            ids: &mut Ids,
+        ) -> PhysPlan {
+            match p {
+                leaf @ (PhysPlan::Scan { .. }
+                | PhysPlan::ScanIdb { .. }
+                | PhysPlan::ScanDelta { .. }
+                | PhysPlan::Values { .. }) => leaf,
+                PhysPlan::Filter { pred, input, schema } => PhysPlan::Filter {
+                    pred,
+                    input: Box::new(rewrite(*input, counts, ids)),
+                    schema,
+                },
+                PhysPlan::Project { cols, input, schema } => PhysPlan::Project {
+                    cols,
+                    input: Box::new(rewrite(*input, counts, ids)),
+                    schema,
+                },
+                PhysPlan::Dedup { input, schema } => PhysPlan::Dedup {
+                    input: Box::new(rewrite(*input, counts, ids)),
+                    schema,
+                },
+                PhysPlan::Shared { id, input, schema } => PhysPlan::Shared {
+                    id,
+                    input: Box::new(rewrite(*input, counts, ids)),
+                    schema,
+                },
+                PhysPlan::HashJoin {
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                    right_keep,
+                    post,
+                    schema,
+                } => PhysPlan::HashJoin {
+                    left: Box::new(rewrite(*left, counts, ids)),
+                    right: Box::new(rewrite(*right, counts, ids)),
+                    left_keys,
+                    right_keys,
+                    right_keep,
+                    post,
+                    schema,
+                },
+                PhysPlan::SemiJoin { left, right, left_keys, right_keys, schema } => {
+                    PhysPlan::SemiJoin {
+                        left: Box::new(rewrite(*left, counts, ids)),
+                        right: Box::new(rewrite(*right, counts, ids)),
+                        left_keys,
+                        right_keys,
+                        schema,
+                    }
+                }
+                PhysPlan::AntiJoin { left, right, left_keys, right_keys, schema } => {
+                    PhysPlan::AntiJoin {
+                        left: Box::new(rewrite(*left, counts, ids)),
+                        right: Box::new(rewrite(*right, counts, ids)),
+                        left_keys,
+                        right_keys,
+                        schema,
+                    }
+                }
+                PhysPlan::Union { left, right, schema } => PhysPlan::Union {
+                    left: Box::new(rewrite(*left, counts, ids)),
+                    right: Box::new(rewrite(*right, counts, ids)),
+                    schema,
+                },
+                PhysPlan::Diff { left, right, schema } => PhysPlan::Diff {
+                    left: Box::new(rewrite(*left, counts, ids)),
+                    right: Box::new(rewrite(*right, counts, ids)),
+                    schema,
+                },
+            }
+        }
+
+        let mut counts = std::collections::HashMap::new();
+        count(&plan, &mut counts);
+        let mut ids = Ids { by_fingerprint: std::collections::HashMap::new(), next: 0 };
+        rewrite(plan, &counts, &mut ids)
+    }
+
+    /// The value-numbered pass must rewrite `plan` exactly as the oracle.
+    fn assert_cse_matches_oracle(plan: PhysPlan, what: &str) {
+        let ours = share_common_subplans(plan.clone());
+        let oracle = debug_string_cse(plan);
+        assert_eq!(explain(&ours), explain(&oracle), "{what}");
+        assert_eq!(ours, oracle, "{what}");
+        assert_eq!(format!("{ours:?}"), format!("{oracle:?}"), "{what}");
+    }
+
+    /// One textual form (`sql`, `ra` or `trc`) of every suite query,
+    /// decoded from `relviz_core::suite`'s source: that crate depends on
+    /// this one, so its `SUITE` cannot be linked into these tests.
+    fn suite_forms(field: &str) -> Vec<String> {
+        let src = include_str!("../../core/src/suite.rs");
+        let tag = format!(" {field}: \"");
+        src.match_indices(&tag)
+            .map(|(at, _)| {
+                let mut text = String::new();
+                let mut rest = &src[at + tag.len()..];
+                while let Some(c) = rest.chars().next() {
+                    rest = &rest[c.len_utf8()..];
+                    match c {
+                        '"' => break,
+                        // A line continuation skips the newline and the
+                        // next line's indentation.
+                        '\\' if rest.starts_with('\n') => rest = rest.trim_start(),
+                        '\\' => {}
+                        c => text.push(c),
+                    }
+                }
+                text
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cse_matches_oracle_on_every_suite_plan() {
+        let db = sailors_sample();
+        let (sql, ra, trc) = (suite_forms("sql"), suite_forms("ra"), suite_forms("trc"));
+        assert_eq!((sql.len(), ra.len(), trc.len()), (8, 8, 8), "suite forms decoded");
+        for cfg in [OptConfig::optimized(), OptConfig::unoptimized()] {
+            let src = Source::from(&db);
+            for text in &ra {
+                let e = relviz_ra::parse::parse_ra(text).expect("suite RA parses");
+                let plan = ra_before_cse(&e, &src, cfg).expect("suite RA plans");
+                assert_cse_matches_oracle(plan, text);
+            }
+            let from_sql = sql.iter().map(|t| {
+                relviz_rc::from_sql::parse_sql_to_trc(t, &db).expect("suite SQL translates")
+            });
+            let parsed = trc.iter().map(|t| relviz_rc::trc_parse::parse_trc(t).expect("parses"));
+            for q in from_sql.chain(parsed) {
+                let plan = trc_before_cse(&q, &src, cfg).expect("suite TRC plans");
+                assert_cse_matches_oracle(plan, &q.to_string());
+            }
+        }
+    }
+
+    /// A seeded generator of nested `∃`/`¬∃`/`∨`/`¬`/`∀` TRC formulas over
+    /// the sailors schema: every comparison is well-typed, and every
+    /// quantifier body correlates its new variable with an outer one.
+    struct FormulaGen {
+        state: u64,
+        vars: usize,
+    }
+
+    impl FormulaGen {
+        /// Knuth's MMIX LCG; the high bits are the well-mixed ones.
+        fn below(&mut self, n: u64) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.state >> 33) % n
+        }
+
+        /// A comparison over the variables in `scope`, or a constant test
+        /// on the innermost one.
+        fn atom(&mut self, scope: &[(String, &'static str)]) -> TrcFormula {
+            use relviz_model::{CmpOp, Value};
+            let (var, rel) = scope.last().expect("scope is never empty");
+            let attr = |v: &str, a: &str| TrcTerm::attr(v, a);
+            let partner = &scope[self.below(scope.len() as u64) as usize];
+            let correlate = match (*rel, partner.1) {
+                ("Reserves", "Sailor") | ("Sailor", "Reserves") | ("Sailor", "Sailor") => {
+                    Some(TrcFormula::eq(attr(var, "sid"), attr(&partner.0, "sid")))
+                }
+                ("Reserves", "Boat") | ("Boat", "Reserves") | ("Boat", "Boat") => {
+                    Some(TrcFormula::eq(attr(var, "bid"), attr(&partner.0, "bid")))
+                }
+                _ => None,
+            };
+            if let Some(f) = correlate.filter(|_| self.below(2) == 0) {
+                return f;
+            }
+            let ops = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Ge];
+            let op = ops[self.below(4) as usize];
+            let (a, v): (&str, Value) = match (*rel, self.below(3)) {
+                ("Sailor", 0) => ("rating", Value::Int(self.below(10) as i64)),
+                ("Sailor", 1) => ("age", Value::Float([-0.0, 0.0, 35.0][self.below(3) as usize])),
+                ("Sailor", _) => ("sname", Value::str(["dustin", "lubber"][self.below(2) as usize])),
+                ("Boat", 0 | 1) => ("color", Value::str(["red", "green"][self.below(2) as usize])),
+                ("Boat", _) => ("bid", Value::Int(101 + self.below(4) as i64)),
+                (_, 0 | 1) => ("bid", Value::Int(101 + self.below(4) as i64)),
+                (_, _) => ("sid", Value::Int(self.below(100) as i64)),
+            };
+            TrcFormula::cmp(attr(var, a), op, TrcTerm::val(v))
+        }
+
+        fn formula(&mut self, depth: u32, scope: &mut Vec<(String, &'static str)>) -> TrcFormula {
+            if depth == 0 {
+                return self.atom(scope);
+            }
+            match self.below(7) {
+                0 => self.atom(scope),
+                1 => self.formula(depth - 1, scope).and(self.formula(depth - 1, scope)),
+                2 => self.formula(depth - 1, scope).or(self.formula(depth - 1, scope)),
+                3 => self.formula(depth - 1, scope).not(),
+                k => {
+                    let rel = ["Sailor", "Boat", "Reserves"][self.below(3) as usize];
+                    self.vars += 1;
+                    let var = format!("v{}", self.vars);
+                    scope.push((var.clone(), rel));
+                    let body = self.atom(scope).and(self.formula(depth - 1, scope));
+                    scope.pop();
+                    let bindings = vec![Binding::new(var, rel)];
+                    match k {
+                        4 => TrcFormula::exists(bindings, body),
+                        5 => TrcFormula::exists(bindings, body).not(),
+                        _ => TrcFormula::forall(bindings, body),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cse_matches_oracle_on_generated_nested_formulas() {
+        let db = sailors_sample();
+        let src = Source::from(&db);
+        let mut shared = 0;
+        for seed in 0..150u64 {
+            let mut gen = FormulaGen { state: seed, vars: 0 };
+            let mut scope = vec![("s".to_string(), "Sailor")];
+            let body = gen.formula(1 + (seed % 3) as u32, &mut scope);
+            let q = TrcQuery::single(relviz_rc::trc::TrcBranch {
+                bindings: vec![Binding::new("s", "Sailor")],
+                head: vec![("sname".to_string(), TrcTerm::attr("s", "sname"))],
+                body: Some(body),
+            });
+            for cfg in [OptConfig::optimized(), OptConfig::unoptimized()] {
+                let plan = trc_before_cse(&q, &src, cfg)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {q} does not plan: {e}"));
+                let shared_plan = share_common_subplans(plan.clone());
+                shared += usize::from(explain(&shared_plan).contains("Shared #"));
+                assert_cse_matches_oracle(plan, &format!("seed {seed}: {q}"));
+            }
+        }
+        assert!(shared > 50, "the generator must exercise sharing ({shared} plans shared)");
+    }
+
+    /// Sub-plans differing only in a constant's variant (`Int(1)` vs
+    /// `Float(1.0)`, equal under `Value`'s total order), a zero's sign,
+    /// or an attribute's type are not shared; identical ones are.
+    #[test]
+    fn cse_is_exactly_as_strict_as_debug() {
+        use relviz_model::{CmpOp, DataType, Value};
+        let scan = |ty| PhysPlan::Scan { rel: "R".into(), schema: Schema::of(&[("a", ty)]) };
+        let filter = |ty, v: Value| {
+            apply_filter(scan(ty), Predicate::cmp(Operand::attr("a"), CmpOp::Eq, Operand::Const(v)))
+        };
+        let shares = |l: PhysPlan, r: PhysPlan| {
+            let plan = union(dedup(l), dedup(r));
+            assert_cse_matches_oracle(plan.clone(), "strictness case");
+            explain(&share_common_subplans(plan)).contains("Shared #0")
+        };
+        let (int, float) = (DataType::Int, DataType::Float);
+        assert_eq!(Value::Int(1), Value::Float(1.0), "equal under the total order");
+        assert!(!shares(filter(int, Value::Int(1)), filter(int, Value::Float(1.0))));
+        assert!(!shares(filter(float, Value::Float(-0.0)), filter(float, Value::Float(0.0))));
+        assert!(!shares(scan(int), scan(float)));
+        assert!(shares(filter(int, Value::Int(1)), filter(int, Value::Int(1))));
+        assert!(shares(filter(float, Value::Float(-0.0)), filter(float, Value::Float(-0.0))));
+        assert!(shares(filter(float, Value::Float(f64::NAN)), filter(float, Value::Float(-f64::NAN))));
+        assert!(shares(scan(float), scan(float)));
     }
 }

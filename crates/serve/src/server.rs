@@ -17,7 +17,8 @@ use relviz_exec::parallel::eval_fixpoint_parallel;
 use relviz_exec::{
     eval_datalog_all_with, eval_datalog_analyzed_with, eval_datalog_with, eval_trc_analyzed_with,
     eval_trc_with, execute_parallel, magic_transform, plan_datalog_with, plan_trc_with,
-    resolve_threads, run_sql_analyzed_with, run_sql_with, Engine, ExecOptions, OptConfig,
+    resolve_threads, resolve_threads_from, run_sql_analyzed_with, run_sql_with, Engine,
+    ExecOptions, OptConfig,
 };
 use relviz_model::text::parse_database;
 use relviz_model::Relation;
@@ -397,11 +398,14 @@ impl QueryRequest {
             other => return Err(format!("unknown lang `{other}`")),
         };
         // The worker width is pinned here: `exec` is one worker, and
-        // `parallel` takes an explicit `threads` field, else the width
-        // the server resolved at startup. `resolve_threads` is never
-        // called again downstream because the width is always >= 1.
+        // `parallel` takes an explicit `threads` field, capped like
+        // `--threads` and `RELVIZ_THREADS`, else the width the server
+        // resolved at startup. `resolve_threads` is never called again
+        // downstream because the width is always >= 1.
         let parallel_width = match frame.get("threads").and_then(Json::as_u64) {
-            Some(t) if t > 0 => t as usize,
+            Some(t) if t > 0 => {
+                resolve_threads_from(usize::try_from(t).unwrap_or(usize::MAX), None)
+            }
             _ => server_threads,
         };
         let (engine, threads) = match frame.get("engine").and_then(Json::as_str).unwrap_or("exec") {
@@ -578,6 +582,20 @@ mod tests {
         let cat = one(&s, r#"{"type":"catalog","id":4}"#);
         let len = cat.get("plan_cache").and_then(|c| c.get("len")).and_then(Json::as_u64);
         assert_eq!(len, Some(1));
+    }
+
+    /// A wire `threads` field resolves under the same 1024 cap as
+    /// `--threads`, so one frame cannot ask the resident process for a
+    /// billion workers. Only the request is built: no query runs and no
+    /// thread is started.
+    #[test]
+    fn wire_thread_counts_are_capped() {
+        let frame = Json::parse(
+            r#"{"type":"query","id":1,"query":"SELECT S.sname FROM Sailor S","engine":"parallel","threads":1000000000}"#,
+        )
+        .expect("frame parses");
+        let req = QueryRequest::from_frame(&frame, 2, OptConfig::optimized()).expect("request");
+        assert_eq!(req.opts.threads, 1024);
     }
 
     /// The analyze label names the path that ran: a one-worker
