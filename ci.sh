@@ -95,24 +95,27 @@ printf '%s\n' '{"type":"query","id":1,"query":"SELECT S.sname FROM Sailor S","an
 #    bound-goal datalog_magic workload at n=1000. A plan_suite row
 #    records the time to plan every suite query's SQL and TRC form
 #    (optimizer on, not executed); it has no gate, since planning takes
-#    well under a millisecond per query and drifts with the host.
+#    well under a millisecond per query and drifts with the host. Five
+#    quantified-query rows run the suite at n=20000 (q1_sql, q5_sql,
+#    q5_trc, q5_datalog, q8_datalog), and (g) q8_datalog (≥ ALL) must
+#    stay within 5× of q1_sql; the division rows are recorded ungated.
 rows_before=$(wc -l < BENCH_exec.json)
 cargo run --release -p relviz-bench --bin s1_exec -- 1000 --assert --out BENCH_exec.json
 rows_appended=$(( $(wc -l < BENCH_exec.json) - rows_before ))
 
-# 6. BENCH_exec.json schema: the run above appends exactly 36 rows (14
+# 6. BENCH_exec.json schema: the run above appends exactly 41 rows (14
 #    workload rows + the exec-analyzed overhead row, gated at ≤5% over
 #    uninstrumented datalog_tc + 4 optimizer A/B rows (opt_chain
 #    optimized/syntactic, datalog_magic magic/full) + the plan_suite
-#    planning row, recorded without a gate + 16 per-operator kernel
-#    rows), every one carries the `threads` field (1 for the
-#    serial engines, the worker count on the parallel row), and at
-#    least one of them is the parallel engine's deep-workload
-#    measurement. The window is computed from the actual append count,
+#    planning row, recorded without a gate + 5 quantified-query rows at
+#    n=20000 + 16 per-operator kernel rows), every one carries the
+#    `threads` field (1 for the serial engines, the worker count on the
+#    parallel row), and at least one of them is the parallel engine's
+#    deep-workload measurement. The window is computed from the actual append count,
 #    so adding workloads cannot silently misalign the check — but the
 #    exact count must be updated here when workloads are added, which
 #    is the point: the snapshot schema is part of the contract.
-test "$rows_appended" -eq 36
+test "$rows_appended" -eq 41
 tail -n "$rows_appended" BENCH_exec.json | awk '
     !/"threads": [0-9]+/ { bad++ }
     /"engine": "parallel"/ { par++ }

@@ -28,6 +28,11 @@
 //! by recorded time; `--assert` gates the analyzed run at ≤5% (+0.1 ms
 //! noise floor) over the uninstrumented wall time.
 //!
+//! Five rows time quantified suite queries at n = [`QUANT_N`]: `q1_sql`,
+//! `q5_sql`, `q5_trc`, `q5_datalog` and `q8_datalog`. `--assert` gates
+//! `q8_datalog` at ≤ [`Q8_GATE`]× `q1_sql`; the Q5 rows are recorded for
+//! the trajectory and not gated.
+//!
 //! A `plan_suite` row records planning alone: the best-of-k wall time
 //! to plan, with the optimizer on and without executing, every suite
 //! query's SQL and TRC form against one resident `Source` (the slots a
@@ -115,6 +120,16 @@ const TC_BASELINE_MS: f64 = 14.5;
 /// The parallel gate: at ≥4 workers, the partitioned runtime must beat
 /// single-thread exec by this factor on `datalog_tc` at the deep size.
 const PAR_GATE: f64 = 1.5;
+
+/// The size of the quantified-query rows: `generate_sailors` at this
+/// scale (5 000 sailors, 1 000 boats, 14 000 reservations), where the
+/// division (Q5) and ≥ ALL (Q8) plans used to build Sailor × Boat and
+/// Sailor × Sailor intermediates.
+const QUANT_N: usize = 20_000;
+
+/// The ≥ ALL gate: Datalog Q8 at [`QUANT_N`] must run within this factor
+/// of SQL Q1 (a plain semi-join) on the same database.
+const Q8_GATE: f64 = 5.0;
 
 /// Sizes for the per-operator microbenchmarks (fixed, independent of
 /// the workload scale `n`, so the trajectory rows stay comparable
@@ -212,6 +227,50 @@ fn run_plan_suite(n: usize, db: &Database) -> Snapshot {
         }
     });
     Snapshot { engine: "exec", query: "plan_suite", n, threads: 1, wall_ms }
+}
+
+/// Suite queries at [`QUANT_N`], best of 3 through the language entry
+/// points (each call materializes what it scans, like the other rows):
+/// `q1_sql`, the division in three languages (`q5_sql`, `q5_trc`,
+/// `q5_datalog`) and ≥ ALL in Datalog (`q8_datalog`). Each form's
+/// answer is checked against the others'. Returns the rows and the
+/// `q8_datalog / q1_sql` ratio.
+fn run_quantified() -> (Vec<Snapshot>, f64) {
+    let db = generate_sailors(&GenConfig::scaled(QUANT_N));
+    let src = &db;
+    let opts = ExecOptions::default;
+    let suite = |id| relviz_core::suite::by_id(id).expect("suite query");
+    let (q1, q5, q8) = (suite("Q1"), suite("Q5"), suite("Q8"));
+    let sql = |q: &str| {
+        time_ms(3, || relviz_exec::run_sql_with(Engine::Indexed, q, src, opts()).expect("runs"))
+    };
+    let datalog = |q: &str| {
+        let prog = parse_program(q).expect("suite Datalog parses");
+        time_ms(3, || eval_datalog_with(Engine::Indexed, &prog, src, opts()).expect("runs"))
+    };
+    let trc = relviz_rc::trc_parse::parse_trc(q5.trc).expect("suite TRC parses");
+    let (q1_ms, _) = sql(q1.sql);
+    let (q5_sql_ms, q5_sql) = sql(q5.sql);
+    let (q5_trc_ms, q5_trc) = time_ms(3, || {
+        relviz_exec::eval_trc_with(Engine::Indexed, &trc, src, opts()).expect("runs")
+    });
+    let (q5_dl_ms, q5_dl) = datalog(q5.datalog);
+    let (q8_dl_ms, q8_dl) = datalog(q8.datalog);
+    let (_, q8_sql) = sql(q8.sql);
+    assert!(q5_sql.same_contents(&q5_trc), "Q5 SQL and TRC disagree @ {QUANT_N}");
+    let names = |r: &Relation| r.iter().map(|t| t.values().to_vec()).collect::<Vec<_>>();
+    assert_eq!(names(&q5_sql), names(&q5_dl), "Q5 SQL and Datalog disagree @ {QUANT_N}");
+    assert_eq!(names(&q8_sql), names(&q8_dl), "Q8 SQL and Datalog disagree @ {QUANT_N}");
+    let snaps = [
+        ("q1_sql", q1_ms),
+        ("q5_sql", q5_sql_ms),
+        ("q5_trc", q5_trc_ms),
+        ("q5_datalog", q5_dl_ms),
+        ("q8_datalog", q8_dl_ms),
+    ]
+    .map(|(query, wall_ms)| Snapshot { engine: "exec", query, n: QUANT_N, threads: 1, wall_ms })
+    .into();
+    (snaps, q8_dl_ms / q1_ms.max(1e-6))
 }
 
 /// One recursive Datalog workload at one size (`m` edges over `m`
@@ -648,6 +707,8 @@ fn main() {
     let (magic_snaps, magic_speedup) = run_magic_workload(n);
     snaps.extend(magic_snaps);
     snaps.push(run_plan_suite(n, &db));
+    let (quant_snaps, q8_ratio) = run_quantified();
+    snaps.extend(quant_snaps);
 
     // The per-operator kernel rows (fixed sizes, see MICRO_SIZES).
     let (micro_snaps, filter_speedup) = run_operator_micros();
@@ -679,6 +740,7 @@ fn main() {
     );
     println!("  opt_chain reordering @ n={n} (syntactic/optimized): {reorder_speedup:.1}×");
     println!("  datalog_magic @ n={n} (full/magic): {magic_speedup:.1}×");
+    println!("  q8_datalog / q1_sql @ n={QUANT_N}: {q8_ratio:.2}×");
     println!(
         "  datalog_tc analyzed @ n={}: {analyzed_ms:.3} ms vs {tc_exec_ms:.3} ms \
          uninstrumented ({:+.1}%)",
@@ -740,6 +802,17 @@ fn main() {
         eprintln!(
             "FAIL: magic sets are only {magic_speedup:.2}× over full materialization \
              on datalog_magic @ n={n}, below the {MAGIC_GATE}× gate"
+        );
+        std::process::exit(1);
+    }
+    // ≥ ALL must not be quadratic: at QUANT_N each Sailor atom narrows
+    // to its distinct ratings before the θ-join. (The Q5 rows are
+    // recorded without a gate: their cost is the Sailor × Boat product
+    // itself, which only a hash-division operator removes.)
+    if assert_speedup && q8_ratio > Q8_GATE {
+        eprintln!(
+            "FAIL: Datalog Q8 @ n={QUANT_N} takes {q8_ratio:.2}× SQL Q1's time, \
+             over the {Q8_GATE}× gate"
         );
         std::process::exit(1);
     }

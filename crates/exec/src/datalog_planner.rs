@@ -8,6 +8,13 @@
 //!   keeps only the columns binding new variables);
 //! * **constants and repeated variables** inside an atom become a
 //!   `Filter` directly over that atom's scan;
+//! * **narrow EDB atoms** are projected onto the variables used outside
+//!   them (in another literal or the head) and deduplicated before
+//!   joining (`narrow_atom`) — only with the optimizer on, only in
+//!   non-recursive components, and only when the atom's sketches say the
+//!   kept columns hold at most half as many distinct combinations as the
+//!   atom has rows. Datalog Q8's two Sailor atoms become their distinct
+//!   ratings, so `R1 < R2` compares 10 × 10 rows, not Sailor × Sailor;
 //! * **comparison literals** join into one predicate that
 //!   [`apply_filter`] pushes down the join chain (cross-side equalities
 //!   turn into extra hash keys);
@@ -35,7 +42,7 @@ use crate::error::{ExecError, ExecResult};
 use crate::fixpoint::{DeltaPlan, FixpointPlan, RulePlan, StratumPlan};
 use crate::opt::OptConfig;
 use crate::plan::{OutputCol, PhysPlan};
-use crate::planner::apply_filter;
+use crate::planner::{apply_filter, project};
 use crate::slots::Source;
 
 /// Lowers a program (range-restriction-checked and stratified first)
@@ -59,12 +66,13 @@ pub fn plan_datalog_with<'a>(
         for component in split_layer(layer) {
             let mut rules = Vec::new();
             for rule in &component.rules {
-                let full = compile_rule(rule, &src, &arities, None, cfg)?;
+                let recursive = component.recursive;
+                let full = compile_rule(rule, &src, &arities, None, recursive, cfg)?;
                 let mut deltas = Vec::new();
                 for occurrence in component.delta_occurrences(rule) {
                     deltas.push(DeltaPlan {
                         occurrence,
-                        plan: compile_rule(rule, &src, &arities, Some(occurrence), cfg)?,
+                        plan: compile_rule(rule, &src, &arities, Some(occurrence), recursive, cfg)?,
                     });
                 }
                 rules.push(RulePlan {
@@ -261,9 +269,60 @@ fn scan_atom(
     Ok(ScannedAtom { plan, vars })
 }
 
+/// Projects positive EDB atom `i` of `rule` onto the variables the rest
+/// of the rule uses, and deduplicates it, when the atom's sketches say
+/// those columns hold at most half as many distinct combinations as the
+/// atom has rows ([`crate::opt::atom_dedup_pays`]). Otherwise the scan
+/// stays as it is: a join already keeps only fresh columns, so a bare
+/// projection gains nothing, and it would stop a build side from using
+/// the relation's resident index. An atom that is the whole body stays
+/// too: the IDB deduplicates the head's rows anyway.
+fn narrow_atom(
+    scanned: ScannedAtom,
+    rule: &Rule,
+    i: usize,
+    src: &Source<'_>,
+) -> ExecResult<ScannedAtom> {
+    let Some(Literal::Pos(atom)) = rule.body.get(i) else { return Ok(scanned) };
+    if rule.body.len() == 1 {
+        return Ok(scanned);
+    }
+    let used_elsewhere = |v: &str| {
+        rule.head.vars().any(|h| h == v)
+            || rule.body.iter().enumerate().any(|(j, lit)| {
+                j != i
+                    && match lit {
+                        Literal::Pos(a) | Literal::Neg(a) => a.vars().any(|w| w == v),
+                        Literal::Cmp { left, right, .. } => {
+                            left.as_var() == Some(v) || right.as_var() == Some(v)
+                        }
+                    }
+            })
+    };
+    let kept: Vec<&(String, usize)> =
+        scanned.vars.iter().filter(|(v, _)| used_elsewhere(v)).collect();
+    let names: Vec<&str> = kept.iter().map(|(v, _)| v.as_str()).collect();
+    let arity = scanned.plan.schema().arity();
+    if kept.len() == arity || !crate::opt::atom_dedup_pays(atom, &names, src) {
+        return Ok(scanned);
+    }
+    let attrs = kept
+        .iter()
+        .map(|(_, pos)| scanned.plan.schema().attrs().get(*pos).cloned())
+        .collect::<Option<Vec<Attribute>>>()
+        .ok_or_else(|| ExecError::Plan(format!("atom `{atom}` binds a column it lacks")))?;
+    let cols = kept.iter().map(|(_, pos)| OutputCol::Pos(*pos)).collect();
+    let vars = kept.iter().enumerate().map(|(k, (v, _))| (v.clone(), k)).collect();
+    let plan = project(scanned.plan, cols, Schema::new(attrs)?);
+    Ok(ScannedAtom { plan, vars })
+}
+
 /// Compiles one rule body into a plan deriving its head tuples. With
 /// `delta_occ = Some(i)`, body atom `i` scans the delta instead of the
-/// accumulated IDB (the semi-naive variant).
+/// accumulated IDB (the semi-naive variant). Narrow EDB atoms are
+/// deduplicated ([`narrow_atom`]) only outside `recursive` components:
+/// there the `Dedup` would re-run every round, and a fresh build side
+/// would lose the index reuse across rounds.
 // `env`/`right_keep` positions index schemas the same loop just built.
 #[allow(clippy::indexing_slicing)]
 fn compile_rule(
@@ -271,6 +330,7 @@ fn compile_rule(
     src: &Source<'_>,
     arities: &HashMap<String, usize>,
     delta_occ: Option<usize>,
+    recursive: bool,
     cfg: OptConfig,
 ) -> ExecResult<PhysPlan> {
     let mut named: HashSet<String> = HashSet::new();
@@ -301,7 +361,11 @@ fn compile_rule(
     };
     for &slot in &order {
         let Some(&(i, atom)) = positives.get(slot) else { continue };
-        let scanned = scan_atom(atom, i, src.db(), arities, delta_occ == Some(i), &mut named)?;
+        let mut scanned =
+            scan_atom(atom, i, src.db(), arities, delta_occ == Some(i), &mut named)?;
+        if cfg.reorder && !recursive && !arities.contains_key(&atom.rel) {
+            scanned = narrow_atom(scanned, rule, i, src)?;
+        }
         match plan.take() {
             None => {
                 for (v, pos) in &scanned.vars {
@@ -419,4 +483,56 @@ fn term_operand(t: &Term) -> ExecResult<Operand> {
         Term::Const(v) => Operand::Const(v.clone()),
         Term::Var(v) => Operand::attr(v.clone()),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixpoint::{eval_fixpoint, explain_datalog};
+    use relviz_datalog::eval::eval_all;
+    use relviz_datalog::parse::parse_program;
+    use relviz_model::generate::{generate_sailors, GenConfig};
+
+    /// Plans `src` over a generated 1000-tuple sailors database, checks
+    /// every derived predicate against the reference evaluator, and
+    /// returns the plan's EXPLAIN text.
+    fn plan_and_check(src: &str, cfg: OptConfig) -> String {
+        let db = generate_sailors(&GenConfig::scaled(1000));
+        let prog = parse_program(src).unwrap();
+        let plan = plan_datalog_with(&prog, &db, cfg).unwrap();
+        let text = explain_datalog(&plan);
+        let ours = eval_fixpoint(&plan, &db).unwrap();
+        for (name, rel) in eval_all(&prog, &db).unwrap() {
+            assert!(ours[&name].same_contents(&rel), "`{name}` disagrees:\n{text}");
+        }
+        text
+    }
+
+    /// Q8's `beaten` joins two Sailor atoms on nothing but a θ-comparison
+    /// of their ratings; each atom narrows to its distinct ratings first.
+    #[test]
+    fn q8_dedups_both_sailor_atoms() {
+        let q8 = "beaten(R1) :- Sailor(S1, N1, R1, A1), Sailor(S2, N2, R2, A2), R1 < R2.\n\
+                  ans(N) :- Sailor(S, N, R, A), not beaten(R).";
+        let text = plan_and_check(q8, OptConfig::optimized());
+        for var in ["R1", "R2"] {
+            let narrowed = format!("Dedup\n              Project [{var}]\n");
+            assert!(text.contains(&narrowed), "missing {narrowed:?}:\n{text}");
+        }
+        let syntactic = plan_and_check(q8, OptConfig::unoptimized());
+        assert!(!syntactic.contains("Dedup"), "{syntactic}");
+    }
+
+    /// The same narrow atom stays a plain scan inside a recursive
+    /// component, and an atom that is a rule's whole body stays too.
+    #[test]
+    fn atom_dedup_skips_recursive_components_and_lone_atoms() {
+        let text = plan_and_check(
+            "rating(R) :- Sailor(S, N, R, A).\n\
+             above(R1, R2) :- Sailor(S1, N1, R1, A1), rating(R2), R1 > R2.\n\
+             above(R1, R3) :- above(R1, R2), Sailor(S, N, R3, A), R2 > R3.",
+            OptConfig::optimized(),
+        );
+        assert!(!text.contains("Dedup"), "{text}");
+    }
 }

@@ -59,7 +59,8 @@ use crate::slots::Source;
 /// never share a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// Cost-based reordering of hash-join chains and rule bodies.
+    /// Cost-based rewrites: reordering of hash-join chains and rule
+    /// bodies, and deduplication of narrow Datalog body atoms.
     pub reorder: bool,
     /// Magic-sets demand transformation for Datalog evaluation.
     pub magic: bool,
@@ -347,7 +348,12 @@ fn join_est(
     Est { rows: rows.max(0.0), cols }.clamp()
 }
 
-/// Fraction of left rows with at least one key match on the right.
+/// Fraction of left rows with at least one key match on the right, by
+/// containment of the combined keys: each side has `d = min(rows,
+/// Π distinct)` key combinations, the smaller set is assumed contained
+/// in the larger, so a left key matches with probability `min(1, d_R /
+/// d_L)`. (Per-column fractions multiplied would each be near 1 on a
+/// two-key anti-join whose key *pairs* mostly miss.)
 fn semi_frac(left: &Est, right: &Est, left_keys: &[usize], right_keys: &[usize]) -> f64 {
     if right.rows <= 0.0 {
         return 0.0;
@@ -355,12 +361,10 @@ fn semi_frac(left: &Est, right: &Est, left_keys: &[usize], right_keys: &[usize])
     if left_keys.is_empty() {
         return 1.0;
     }
-    let mut frac = 1.0;
-    for (lk, rk) in left_keys.iter().zip(right_keys) {
-        let dl = col_distinct(left, *lk);
-        frac *= dl.min(col_distinct(right, *rk)) / dl.max(1.0);
-    }
-    frac.clamp(0.0, 1.0)
+    let combos = |est: &Est, keys: &[usize]| {
+        keys.iter().map(|&k| col_distinct(est, k)).product::<f64>().min(est.rows).max(1.0)
+    };
+    (combos(right, right_keys) / combos(left, left_keys)).min(1.0)
 }
 
 /// Bottom-up estimate walk. Pushes one `est_rows` entry per node in the
@@ -951,6 +955,20 @@ fn atom_est(atom: &Atom, is_delta: bool, is_idb: bool, src: &Source<'_>) -> Atom
         *d = d.min(rows.max(1.0));
     }
     AtomEst { rows, var_d, build: 0.0 }
+}
+
+/// Whether projecting EDB body atom `atom` onto the variables `kept`
+/// and deduplicating it pays: its sketches, after the atom's constant
+/// and repeated-variable filters, must give the kept variables at most
+/// half as many distinct combinations as the atom has rows. A relation
+/// without sketches never qualifies.
+pub(crate) fn atom_dedup_pays(atom: &Atom, kept: &[&str], src: &Source<'_>) -> bool {
+    if src.stats(&atom.rel).is_none() {
+        return false;
+    }
+    let est = atom_est(atom, false, false, src);
+    let combos: f64 = kept.iter().map(|v| est.var_d.get(*v).copied().unwrap_or(est.rows)).product();
+    2.0 * combos <= est.rows
 }
 
 /// Cost of evaluating the positive atoms in the given order as a

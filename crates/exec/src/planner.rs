@@ -10,13 +10,21 @@
 //! quantifier bodies per candidate tuple (what the reference
 //! [`relviz_rc::trc_eval`] does), `∃`-nests are *decorrelated* into
 //! `SemiJoin`s and `¬∃`-nests into `AntiJoin`s against a sub-plan that
-//! computes all satisfying extended assignments at once. Attribute names
-//! follow the `var__attr` mangling of [`relviz_rc::to_ra`], so plans stay
-//! readable next to the classical compilation.
+//! computes all witnesses at once. One rule derives the join keys
+//! (`quantifier_join`): a top-level body conjunct `inner.attr =
+//! outer.attr` keys the outer column against the inner one directly, so
+//! an equality-correlated quantifier probes its relation (and that
+//! relation's resident index) with the outer rows. Only outer columns
+//! the body references some other way — θ-comparisons, disjunctions,
+//! nested quantifiers — fall back to a domain: the distinct outer values
+//! of those columns, crossed with the quantifier's bindings. SQL reaches
+//! the same rule through `from_sql`. Attribute names follow the
+//! `var__attr` mangling of [`relviz_rc::to_ra`], so plans stay readable
+//! next to the classical compilation.
 //!
 //! Both lowerings finish with a **common-subplan pass**
 //! ([`share_common_subplans`]): structurally identical sub-plans — the
-//! outer context a quantifier build side re-plans, the duplicated
+//! outer context a quantifier's domain re-plans, the duplicated
 //! operands of `∨`/`¬`/division — are wrapped in [`PhysPlan::Shared`]
 //! nodes and execute once per query. The pass value-numbers the plan in
 //! time linear in its size: every node gets a class id keyed on its
@@ -47,8 +55,8 @@ use crate::slots::Source;
 ///
 /// Duplicated sub-plans are endemic to the lowerings, not an edge case:
 /// TRC quantifier decorrelation re-plans the outer context inside every
-/// build side, `∨`/`¬` compile both operands over a copy of their input,
-/// and RA division expands one operand three times. Wrapping is
+/// domain it builds, `∨`/`¬` compile both operands over a copy of their
+/// input, and RA division expands one operand three times. Wrapping is
 /// top-down and recursive: a duplicate *inside* a shared subtree gets
 /// its own id too, so a sub-plan duplicated both within and outside a
 /// larger shared plan is still computed once (identical subtrees are
@@ -511,7 +519,7 @@ pub(crate) fn apply_filter(input: PhysPlan, pred: Predicate) -> PhysPlan {
 /// A projection, deduplicated whenever columns are dropped (a projection
 /// that keeps every column is a bijection and cannot introduce
 /// duplicates).
-fn project(input: PhysPlan, cols: Vec<OutputCol>, schema: Schema) -> PhysPlan {
+pub(crate) fn project(input: PhysPlan, cols: Vec<OutputCol>, schema: Schema) -> PhysPlan {
     let narrowing = cols.len() < input.schema().arity()
         || cols.iter().any(|c| matches!(c, OutputCol::Const(_)));
     let plan = PhysPlan::Project { cols, schema: schema.clone(), input: Box::new(input) };
@@ -780,17 +788,26 @@ fn scan_mangled(binding: &Binding, db: &Database) -> ExecResult<PhysPlan> {
     Ok(PhysPlan::Scan { rel: binding.rel.clone(), schema: Schema::new(attrs)? })
 }
 
-/// The cross product of the bindings' relations (the TRC context).
-fn ctx_plan(bindings: &[Binding], db: &Database) -> ExecResult<PhysPlan> {
-    let mut plan: Option<PhysPlan> = None;
-    for b in bindings {
-        let scan = scan_mangled(b, db)?;
-        plan = Some(match plan {
-            Some(p) => cross(p, scan)?,
-            None => scan,
+/// The left-deep cross product of `plans` in order; `None` for none.
+fn cross_all(plans: impl IntoIterator<Item = PhysPlan>) -> ExecResult<Option<PhysPlan>> {
+    let mut product: Option<PhysPlan> = None;
+    for plan in plans {
+        product = Some(match product {
+            Some(p) => cross(p, plan)?,
+            None => plan,
         });
     }
-    plan.ok_or_else(|| {
+    Ok(product)
+}
+
+/// Scans of the bindings' relations, attributes mangled.
+fn binding_scans(bindings: &[Binding], db: &Database) -> ExecResult<Vec<PhysPlan>> {
+    bindings.iter().map(|b| scan_mangled(b, db)).collect()
+}
+
+/// The cross product of the bindings' relations (the TRC context).
+fn ctx_plan(bindings: &[Binding], db: &Database) -> ExecResult<PhysPlan> {
+    cross_all(binding_scans(bindings, db)?)?.ok_or_else(|| {
         ExecError::Plan("Boolean (zero-binding) TRC branch has no physical plan".into())
     })
 }
@@ -860,15 +877,26 @@ fn compile(f: &TrcFormula, plan: PhysPlan, db: &Database) -> ExecResult<PhysPlan
 }
 
 /// Decorrelates one quantifier into a semi- (`anti = false`) or
-/// anti-join (`anti = true`).
+/// anti-join (`anti = true`) whose build side computes every witness at
+/// once. The outer columns the body references key the join in two ways
+/// (a column referenced both ways keys it twice):
 ///
-/// The build side does **not** extend the whole outer row: witness
-/// existence depends only on the outer columns the body references, so
-/// the sub-plan is `compile(body, δ(π_refs(outer)) × bindings)` and the
-/// join keys are exactly those columns. For a low-cardinality
-/// correlation column (Q8's `rating`) this shrinks the build side by
-/// orders of magnitude; for an uncorrelated `∃` it degenerates to a
-/// zero-key emptiness probe.
+/// * **directly** — a top-level conjunct `inner.attr = outer.attr`
+///   (either orientation, unifiable types) becomes a key pair: the outer
+///   column against the inner column. Both compare by `Value`'s total
+///   order, so the key decides exactly what the conjunct would;
+/// * **through the domain** — an outer column the rest of the body
+///   references any other way (a θ-comparison such as Q8's `s.rating <
+///   s2.rating`, a disjunction, a nested quantifier) is carried into the
+///   build side as `δ(π_refs(outer)) × bindings` and keys the join
+///   against itself.
+///
+/// With no domain column the build side is just `compile(rest,
+/// ×bindings)`: Q5's inner `¬∃` probes Reserves' (sid, bid) index with
+/// the outer rows, and an uncorrelated `∃` is a zero-key emptiness
+/// probe. The domain, when needed, holds only the distinct values of
+/// its columns, so a low-cardinality correlation column keeps the build
+/// side small.
 // Correlation positions come from `index_of` on the operands' own schemas.
 #[allow(clippy::indexing_slicing)]
 fn quantifier_join(
@@ -878,27 +906,48 @@ fn quantifier_join(
     db: &Database,
     anti: bool,
 ) -> ExecResult<PhysPlan> {
+    let scans = binding_scans(bindings, db)?;
+    let mut direct: Vec<(usize, String)> = Vec::new();
+    let rest = without_conjuncts(body, &mut |c| match key_pair(c, plan.schema(), &scans) {
+        Some(pair) => {
+            direct.push(pair);
+            true
+        }
+        None => false,
+    });
     let mut refs = std::collections::BTreeSet::new();
-    outer_refs(body, plan.schema(), &mut refs);
-    let left_keys: Vec<usize> = refs.into_iter().collect();
-    let right_keys: Vec<usize> = (0..left_keys.len()).collect();
+    if let Some(f) = &rest {
+        outer_refs(f, plan.schema(), &mut refs);
+    }
+    let mut left_keys: Vec<usize> = refs.into_iter().collect();
+    let mut right_keys: Vec<usize> = (0..left_keys.len()).collect();
 
-    let outer_key = if left_keys.len() == plan.schema().arity() {
-        dedup(plan.clone())
+    let domain = if left_keys.is_empty() && !scans.is_empty() {
+        None
+    } else if left_keys.len() == plan.schema().arity() {
+        Some(dedup(plan.clone()))
     } else {
         let attrs: Vec<Attribute> =
             left_keys.iter().map(|&i| plan.schema().attrs()[i].clone()).collect();
-        dedup(PhysPlan::Project {
+        Some(dedup(PhysPlan::Project {
             cols: left_keys.iter().map(|&i| OutputCol::Pos(i)).collect(),
             schema: Schema::new(attrs)?,
             input: Box::new(plan.clone()),
-        })
+        }))
     };
-    let mut extended = outer_key;
-    for b in bindings {
-        extended = cross(extended, scan_mangled(b, db)?)?;
+    let build = cross_all(domain.into_iter().chain(scans))?
+        .ok_or_else(|| ExecError::Plan("quantifier has no build side".into()))?;
+    let sub = match rest {
+        Some(f) => compile(&f, build, db)?,
+        None => build,
+    };
+    for (outer, inner) in direct {
+        let pos = sub.schema().index_of(&inner).ok_or_else(|| {
+            ExecError::Plan(format!("quantifier key `{inner}` not in its build side"))
+        })?;
+        left_keys.push(outer);
+        right_keys.push(pos);
     }
-    let sub = compile(body, extended, db)?;
 
     let schema = plan.schema().clone();
     let (left, right) = (Box::new(plan), Box::new(sub));
@@ -906,6 +955,41 @@ fn quantifier_join(
         PhysPlan::AntiJoin { left, right, left_keys, right_keys, schema }
     } else {
         PhysPlan::SemiJoin { left, right, left_keys, right_keys, schema }
+    })
+}
+
+/// `f`'s top-level `∧`-tree without the conjuncts `drop` claims, in the
+/// same shape; `None` when every conjunct was claimed.
+fn without_conjuncts(
+    f: &TrcFormula,
+    drop: &mut impl FnMut(&TrcFormula) -> bool,
+) -> Option<TrcFormula> {
+    match f {
+        TrcFormula::And(a, b) => match (without_conjuncts(a, drop), without_conjuncts(b, drop)) {
+            (Some(a), Some(b)) => Some(a.and(b)),
+            (a, b) => a.or(b),
+        },
+        c if drop(c) => None,
+        c => Some(c.clone()),
+    }
+}
+
+/// A direct quantifier key: for `inner.attr = outer.attr` in either
+/// orientation, where the outer column is in `outer`, the inner one in
+/// one of the quantifier's scans and their types unify, the outer
+/// column's position and the inner column's name.
+fn key_pair(f: &TrcFormula, outer: &Schema, scans: &[PhysPlan]) -> Option<(usize, String)> {
+    let TrcFormula::Cmp { left, op: relviz_model::CmpOp::Eq, right } = f else { return None };
+    let (TrcTerm::Attr { var: lv, attr: la }, TrcTerm::Attr { var: rv, attr: ra }) = (left, right)
+    else {
+        return None;
+    };
+    let (l, r) = (mangle(lv, la), mangle(rv, ra));
+    [(l.clone(), r.clone()), (r, l)].into_iter().find_map(|(o, i)| {
+        let pos = outer.index_of(&o)?;
+        let inner_ty = scans.iter().find_map(|s| s.schema().attr(&i))?.ty;
+        let outer_ty = outer.attrs().get(pos)?.ty;
+        outer_ty.unify(inner_ty).map(|_| (pos, i))
     })
 }
 
@@ -967,9 +1051,10 @@ mod tests {
         .unwrap();
         let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
-        // Decorrelated on exactly the referenced outer column.
-        assert!(text.contains("SemiJoin [s__sid]"), "{text}");
+        // Keyed directly on the correlating equality: no outer domain.
+        assert!(text.contains("SemiJoin [s__sid=r__sid]"), "{text}");
         assert!(!text.contains("AntiJoin"), "{text}");
+        assert_eq!(text.matches("Dedup").count(), 1, "only the head's:\n{text}");
     }
 
     #[test]
@@ -981,9 +1066,53 @@ mod tests {
         .unwrap();
         let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
         let text = explain(&plan);
-        assert!(text.contains("AntiJoin [s__sid]"), "{text}");
+        assert!(text.contains("AntiJoin [s__sid=r__sid]"), "{text}");
         let out = execute(&plan, &db).unwrap();
         assert_eq!(out.len(), 6); // sailors with no reservation at all
+    }
+
+    /// Q5's inner `¬∃` correlates by equalities only, so it probes
+    /// Reserves on (sid, bid) directly: no deduplicated Sailor × Boat
+    /// product and no whole-row join with Reserves. The outer `¬∃`
+    /// still needs the domain of `s.sid`, which its nested quantifier
+    /// references.
+    #[test]
+    fn division_probes_the_dividend_on_its_keys() {
+        let db = sailors_sample();
+        let q = relviz_rc::trc_parse::parse_trc(
+            "{s.sname | Sailor(s) and not exists b in Boat: (b.color = 'red' and \
+             not exists r in Reserves: (r.sid = s.sid and r.bid = b.bid))}",
+        )
+        .unwrap();
+        let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
+        let text = explain(&plan);
+        assert!(text.contains("AntiJoin [s__sid=r__sid, b__bid=r__bid]"), "{text}");
+        assert!(!text.contains("HashJoin [*]"), "{text}");
+        assert!(!text.contains("Project [s__sid, b__bid]"), "{text}");
+        let dedups: Vec<&str> = text.lines().filter(|l| l.trim() == "Dedup").collect();
+        assert_eq!(dedups.len(), 2, "the head's and the s.sid domain's:\n{text}");
+        let ours = execute(&plan, &db).unwrap();
+        let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
+        assert!(ours.same_contents(&reference), "ours={ours}\nref={reference}");
+    }
+
+    /// Equality and θ references to the outer query in one body: the
+    /// equality keys the join directly, the θ-referenced column goes
+    /// through the domain, and both key the same anti-join.
+    #[test]
+    fn mixed_correlation_keys_directly_and_through_the_domain() {
+        let db = sailors_sample();
+        let q = relviz_rc::trc_parse::parse_trc(
+            "{s.sname | Sailor(s) and not exists r in Reserves: \
+             (r.sid = s.sid and r.bid > s.rating)}",
+        )
+        .unwrap();
+        let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
+        let text = explain(&plan);
+        assert!(text.contains("AntiJoin [s__rating, s__sid=r__sid]"), "{text}");
+        let ours = execute(&plan, &db).unwrap();
+        let reference = relviz_rc::trc_eval::eval_trc(&q, &db).unwrap();
+        assert!(ours.same_contents(&reference), "ours={ours}\nref={reference}");
     }
 
     #[test]
@@ -1022,18 +1151,19 @@ mod tests {
         assert_eq!(ours.len(), 2); // NaN finds its identical self
     }
 
-    /// The decorrelated quantifier build side re-plans the outer
-    /// context; the CSE pass must fuse it with the probe side's copy
-    /// into one `Shared` sub-plan — shown once in EXPLAIN, executed
-    /// once by the runner.
+    /// A quantifier whose body references the outer query through a
+    /// θ-comparison re-plans the outer context inside its domain; the
+    /// CSE pass must fuse it with the probe side's copy into one
+    /// `Shared` sub-plan — shown once in EXPLAIN, executed once by the
+    /// runner.
     #[test]
     fn common_subplans_are_shared_and_execute_once() {
         let db = sailors_sample();
-        // Q5: ¬∃ b (red ∧ ¬∃ r reserved) — the context × Boat sub-plan
-        // appears on both sides of the inner anti-join.
+        // The filtered Sailor context is the anti-join's probe side and
+        // the input of its `s.rating` domain.
         let q = relviz_rc::trc_parse::parse_trc(
-            "{s.sname | Sailor(s) and not exists b in Boat: (b.color = 'red' and \
-             not exists r in Reserves: (r.sid = s.sid and r.bid = b.bid))}",
+            "{s.sname | Sailor(s) and s.rating > 5 and \
+             not exists s2 in Sailor: (s.rating < s2.rating)}",
         )
         .unwrap();
         let plan = plan_trc_with(&q, &db, OptConfig::optimized()).unwrap();
@@ -1337,8 +1467,13 @@ mod tests {
                 }
                 _ => None,
             };
-            if let Some(f) = correlate.filter(|_| self.below(2) == 0) {
-                return f;
+            if let Some(TrcFormula::Cmp { left, right, .. }) =
+                correlate.filter(|_| self.below(2) == 0)
+            {
+                // Equalities key the decorrelated join directly; the
+                // θ-comparisons go through the outer domain.
+                let op = [CmpOp::Eq, CmpOp::Lt, CmpOp::Neq, CmpOp::Ge][self.below(4) as usize];
+                return TrcFormula::cmp(left, op, right);
             }
             let ops = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Ge];
             let op = ops[self.below(4) as usize];
@@ -1386,7 +1521,7 @@ mod tests {
         let db = sailors_sample();
         let src = Source::from(&db);
         let mut shared = 0;
-        for seed in 0..150u64 {
+        for seed in 0..600u64 {
             let mut gen = FormulaGen { state: seed, vars: 0 };
             let mut scope = vec![("s".to_string(), "Sailor")];
             let body = gen.formula(1 + (seed % 3) as u32, &mut scope);

@@ -70,21 +70,7 @@ impl Relation {
     /// Inserts a tuple after validating arity and types.
     /// Returns `Ok(true)` if the tuple was new.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
-        if t.arity() != self.schema.arity() {
-            return Err(ModelError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: t.arity(),
-            });
-        }
-        for (v, a) in t.values().iter().zip(self.schema.attrs()) {
-            if !v.conforms_to(a.ty) {
-                return Err(ModelError::TypeMismatch {
-                    attr: a.name.clone(),
-                    expected: a.ty.to_string(),
-                    got: v.data_type().to_string(),
-                });
-            }
-        }
+        check_row(&self.schema, &t)?;
         Ok(self.tuples.insert(t))
     }
 
@@ -152,6 +138,23 @@ impl Relation {
                 .zip(&other.tuples)
                 .all(|(a, b)| a.cmp(b) == std::cmp::Ordering::Equal)
     }
+}
+
+/// The arity and type check [`Relation::insert`] applies to a row.
+pub(crate) fn check_row(schema: &Schema, t: &Tuple) -> Result<()> {
+    if t.arity() != schema.arity() {
+        return Err(ModelError::ArityMismatch { expected: schema.arity(), got: t.arity() });
+    }
+    for (v, a) in t.values().iter().zip(schema.attrs()) {
+        if !v.conforms_to(a.ty) {
+            return Err(ModelError::TypeMismatch {
+                attr: a.name.clone(),
+                expected: a.ty.to_string(),
+                got: v.data_type().to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Relation {

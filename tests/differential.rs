@@ -393,3 +393,175 @@ proptest! {
         check_case(expr_seed, &db);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Quantified TRC queries: direct keys and the outer domain
+// ---------------------------------------------------------------------------
+
+/// Comparison operators as TRC spells them.
+const TRC_OPS: &[&str] = &["=", "<>", "<", "<=", ">", ">="];
+
+fn pick_str<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+    items[rng.gen_range(0..items.len())]
+}
+
+/// A random quantified TRC query over the sailors schema, in one of the
+/// shapes whose decorrelation keys differ: division (`¬∃ ¬∃` or its `∀`
+/// spelling; the divisor may be empty), ≥ ALL, bodies that mix an
+/// equality with a θ-reference to the outer query, and nested
+/// quantifiers that reference the outer query.
+fn quantified_sailors_query(rng: &mut StdRng) -> String {
+    let op = pick_str(rng, TRC_OPS);
+    let (not, not2) = (pick_str(rng, &["", "not "]), pick_str(rng, &["", "not "]));
+    let k = rng.gen_range(0..14i64);
+    match rng.gen_range(0..4) {
+        0 => {
+            let bid = format!("b.bid {op} {}", 100 + k % 5);
+            let divisor =
+                pick_str(rng, &["b.color = 'red'", "b.color = 'mauve'", "b.bid > 1000", &bid]);
+            if rng.gen_bool(0.5) {
+                format!(
+                    "{{s.sname | Sailor(s) and not exists b in Boat: ({divisor} and \
+                     not exists r in Reserves: (r.sid = s.sid and r.bid = b.bid))}}"
+                )
+            } else {
+                format!(
+                    "{{s.sid | Sailor(s) and forall b in Boat: (not ({divisor}) or \
+                     exists r in Reserves: (b.bid = r.bid and s.sid = r.sid))}}"
+                )
+            }
+        }
+        1 => {
+            let col = pick_str(rng, &["rating", "age", "sid"]);
+            let extra = pick_str(
+                rng,
+                &["", " and s2.sid <> s.sid", " and s2.age > 40.0", " and s2.rating = s.rating"],
+            );
+            if rng.gen_bool(0.5) {
+                format!(
+                    "{{s.sname | Sailor(s) and not exists s2 in Sailor: \
+                     (s.{col} {op} s2.{col}{extra})}}"
+                )
+            } else {
+                format!(
+                    "{{s.sid, s.{col} | Sailor(s) and forall s2 in Sailor: (s.{col} >= s2.{col})}}"
+                )
+            }
+        }
+        2 => {
+            let theta =
+                pick_str(rng, &["r.sid {op} s.rating", "r.bid {op} s.sid", "r.sid {op} s.sid"])
+                    .replace("{op}", op);
+            let body = match rng.gen_range(0..3) {
+                0 => format!("r.sid = s.sid and {theta}"),
+                1 => format!("{theta} and r.bid = {} and s.sid = r.sid", 100 + k % 5),
+                _ => format!("(r.sid = s.sid or {theta})"),
+            };
+            format!("{{s.sname, s.sid | Sailor(s) and {not}exists r in Reserves: ({body})}}")
+        }
+        _ => {
+            let inner = pick_str(rng, &[
+                "b.color = 'red' or s.rating {op} {k}",
+                "b.bid {op} s.sid",
+                "b.bid = r.bid and s.rating {op} {k}",
+            ])
+            .replace("{op}", op)
+            .replace("{k}", &k.to_string());
+            format!(
+                "{{s.sname, s.sid | Sailor(s) and {not}exists r in Reserves: (r.sid = s.sid and \
+                 {not2}exists b in Boat: (b.bid = r.bid and ({inner})))}}"
+            )
+        }
+    }
+}
+
+/// A random quantified query correlating an `int` column with a `float`
+/// one holding `NaN`, `-0.0`, `0.0` and integral values: the direct key
+/// must decide what the equality would under `Value`'s total order
+/// (`1 = 1.0`, `NaN = NaN`, `0 ≠ -0.0`).
+fn quantified_float_query(rng: &mut StdRng) -> String {
+    let op = pick_str(rng, TRC_OPS);
+    let not = pick_str(rng, &["", "not "]);
+    match rng.gen_range(0..5) {
+        0 => format!("{{i.tag | I(i) and {not}exists f in F: (f.x = i.k)}}"),
+        1 => format!("{{f.tag | F(f) and {not}exists g in F: (g.x = f.x and g.tag <> f.tag)}}"),
+        2 => format!("{{f.tag | F(f) and {not}exists i in I: (i.k = f.x and f.x {op} 0.5)}}"),
+        3 => format!("{{f.tag | F(f) and not exists g in F: (f.x {op} g.x)}}"),
+        _ => format!(
+            "{{i.tag | I(i) and {not}exists f in F: (f.x {op} i.k and \
+             not exists j in I: (j.k = f.x and j.tag <> i.tag))}}"
+        ),
+    }
+}
+
+/// `I(k: int, tag)` and `F(x: float, tag)`, a random subset of rows each.
+fn float_correlation_db(rng: &mut StdRng) -> Database {
+    use relviz::model::{Relation, Schema, Tuple};
+    let ints = [0i64, 1, 2, 3];
+    let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.0, 2.5, 3.0, f64::NAN];
+    let mut db = Database::new();
+    let mut rel = Relation::empty(Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]));
+    for k in ints.into_iter().filter(|_| rng.gen_bool(0.8)) {
+        rel.insert_unchecked(Tuple::new(vec![Value::Int(k), Value::str(format!("i{k}"))]));
+    }
+    db.set("I", rel);
+    let mut rel = Relation::empty(Schema::of(&[("x", DataType::Float), ("tag", DataType::Str)]));
+    for (n, x) in floats.into_iter().enumerate().filter(|_| rng.gen_bool(0.8)) {
+        rel.insert_unchecked(Tuple::new(vec![Value::Float(x), Value::str(format!("f{n}"))]));
+    }
+    db.set("F", rel);
+    db
+}
+
+/// Plans `text` optimized and unoptimized, and runs each plan at one and
+/// four workers: every run must verify and render exactly as the
+/// reference TRC evaluator's answer.
+fn check_trc(text: &str, db: &Database) {
+    let q = relviz::rc::trc_parse::parse_trc(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+    let reference = relviz::rc::trc_eval::eval_trc(&q, db)
+        .unwrap_or_else(|e| panic!("reference rejected {text}: {e}"));
+    for cfg in [OptConfig::optimized(), OptConfig::unoptimized()] {
+        let plan = relviz::exec::plan_trc_with(&q, db, cfg)
+            .unwrap_or_else(|e| panic!("planner rejected {text}: {e}"));
+        let diags = relviz::exec::verify_plan(&plan, Some(db));
+        assert!(diags.is_empty(), "{text}\n{}", relviz::exec::render_diagnostics(&diags));
+        for threads in [1usize, 4] {
+            let ours = relviz::exec::execute_parallel(&plan, db, threads)
+                .unwrap_or_else(|e| panic!("executor failed on {text}: {e}"));
+            assert_eq!(
+                format!("{ours}"),
+                format!("{reference}"),
+                "{text} ({cfg:?}, {threads} threads)\nplan:\n{}",
+                relviz::exec::explain(&plan),
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(150))]
+
+    /// ≥150 quantified TRC queries over seeded sailors databases.
+    #[test]
+    fn quantified_trc_matches_reference_on_sailors(
+        query_seed in 0u64..1_000_000,
+        db_seed in 0u64..64,
+    ) {
+        let cfg = GenConfig { seed: db_seed, sailors: 10, boats: 4, reservations: 18 };
+        let db = generate_sailors(&cfg);
+        check_trc(&quantified_sailors_query(&mut StdRng::seed_from_u64(query_seed)), &db);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// ≥100 quantified TRC queries correlating `int` with `float`
+    /// columns that hold `NaN` and both zeros.
+    #[test]
+    fn quantified_trc_matches_reference_on_float_correlations(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = float_correlation_db(&mut rng);
+        check_trc(&quantified_float_query(&mut rng), &db);
+    }
+}

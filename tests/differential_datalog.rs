@@ -36,9 +36,20 @@ struct PredSpec {
 struct Gen {
     rng: StdRng,
     preds: Vec<PredSpec>,
+    /// Whether EDB atoms may carry singleton variables (`U0`, `U1`, …,
+    /// each used exactly once in its program) and extra constants —
+    /// the columns the atom-dedup rule projects away.
+    singletons: bool,
+    fresh: usize,
 }
 
 impl Gen {
+    /// A generator whose EDB atoms also carry singleton variables and
+    /// constants.
+    fn with_singletons(seed: u64) -> Self {
+        Gen { singletons: true, ..Gen::new(seed) }
+    }
+
     fn new(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = rng.gen_range(1..=2usize);
@@ -52,7 +63,7 @@ impl Gen {
                 });
             }
         }
-        Gen { rng, preds }
+        Gen { rng, preds, singletons: false, fresh: 0 }
     }
 
     fn constant(&mut self) -> Term {
@@ -81,8 +92,22 @@ impl Gen {
             .chain([("R".to_string(), 2), ("S".to_string(), 2)])
             .collect();
         let (rel, arity) = candidates[self.rng.gen_range(0..candidates.len())].clone();
+        let edb = rel == "R" || rel == "S";
         let terms = (0..arity)
-            .map(|_| if self.rng.gen_bool(0.75) { self.var() } else { self.constant() })
+            .map(|_| {
+                if self.singletons && edb && self.rng.gen_bool(0.4) {
+                    if self.rng.gen_bool(0.6) {
+                        self.fresh += 1;
+                        return Term::Var(format!("U{}", self.fresh));
+                    }
+                    return self.constant();
+                }
+                if self.rng.gen_bool(0.75) {
+                    self.var()
+                } else {
+                    self.constant()
+                }
+            })
             .collect();
         Atom::new(rel, terms)
     }
@@ -104,7 +129,9 @@ impl Gen {
         };
         let n_pos = self.rng.gen_range(1..=3usize);
         let positives: Vec<Atom> = (0..n_pos).map(|_| self.positive_atom(layer)).collect();
-        let bound: Vec<&str> = positives.iter().flat_map(Atom::vars).collect();
+        // Singleton variables stay out of heads, negations and comparisons.
+        let bound: Vec<&str> =
+            positives.iter().flat_map(Atom::vars).filter(|v| !v.starts_with('U')).collect();
 
         let mut body: Vec<Literal> = positives.iter().cloned().map(Literal::Pos).collect();
         if self.rng.gen_bool(0.4) {
@@ -144,8 +171,11 @@ impl Gen {
 }
 
 fn check_case(prog_seed: u64, db: &Database) {
-    let prog = Gen::new(prog_seed).program();
-    let reference = eval_all(&prog, db).unwrap_or_else(|e| {
+    check_program(&Gen::new(prog_seed).program(), prog_seed, db);
+}
+
+fn check_program(prog: &Program, prog_seed: u64, db: &Database) {
+    let reference = eval_all(prog, db).unwrap_or_else(|e| {
         panic!("generator produced an invalid program (seed {prog_seed}): {e}\n{prog}")
     });
     // Every randomized fixpoint plan must satisfy the static verifier,
@@ -154,7 +184,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // generated programs).
     {
         use relviz::exec::{analyze_program, render_diagnostics, verify_fixpoint, Severity};
-        let plan = plan_datalog_with(&prog, db, OptConfig::optimized())
+        let plan = plan_datalog_with(prog, db, OptConfig::optimized())
             .unwrap_or_else(|e| panic!("planner rejected a valid program (seed {prog_seed}): {e}"));
         let diags = verify_fixpoint(&plan, Some(db));
         assert!(
@@ -162,14 +192,14 @@ fn check_case(prog_seed: u64, db: &Database) {
             "planner emitted an unverifiable fixpoint plan (seed {prog_seed})\nprogram:\n{prog}\n{}",
             render_diagnostics(&diags),
         );
-        let analysis = analyze_program(&prog, db);
+        let analysis = analyze_program(prog, db);
         assert!(
             !analysis.iter().any(|d| d.severity == Severity::Error),
             "analyzer flags a valid generated program (seed {prog_seed})\nprogram:\n{prog}\n{}",
             render_diagnostics(&analysis),
         );
     }
-    let all = exec::eval_datalog_all_with(Engine::Indexed, &prog, db, ExecOptions::default())
+    let all = exec::eval_datalog_all_with(Engine::Indexed, prog, db, ExecOptions::default())
         .unwrap_or_else(|e| {
             panic!("exec rejected a valid program (seed {prog_seed}): {e}\n{prog}")
         });
@@ -182,7 +212,7 @@ fn check_case(prog_seed: u64, db: &Database) {
             ours.same_contents(rel),
             "engines disagree on `{name}` (seed {prog_seed})\nprogram:\n{prog}\nplan:\n{}\nexec ({} rows):\n{ours}\nreference ({} rows):\n{rel}",
             explain_datalog(
-                &plan_datalog_with(&prog, db, OptConfig::optimized()).expect("planned once already")
+                &plan_datalog_with(prog, db, OptConfig::optimized()).expect("planned once already")
             ),
             ours.len(),
             rel.len(),
@@ -191,7 +221,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // Optimizer A/B: the same program evaluated with reordering off
     // must reproduce every optimized relation bit for bit.
     let unopt =
-        exec::eval_datalog_all_with(Engine::Indexed, &prog, db, OptConfig::unoptimized())
+        exec::eval_datalog_all_with(Engine::Indexed, prog, db, OptConfig::unoptimized())
             .unwrap_or_else(|e| panic!("unoptimized eval failed (seed {prog_seed}): {e}\n{prog}"));
     assert_eq!(unopt.len(), all.len(), "predicate sets differ unoptimized (seed {prog_seed})");
     for (name, rel) in &all {
@@ -205,7 +235,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // transforms the program on the physical engine; its query relation
     // must render identically to the full fixpoint's.
     if let Some(full_query) = all.get(&prog.query) {
-        let magic = exec::eval_datalog_with(Engine::Indexed, &prog, db, ExecOptions::default());
+        let magic = exec::eval_datalog_with(Engine::Indexed, prog, db, ExecOptions::default());
         let magic = magic.unwrap_or_else(|e| {
             panic!("magic-sets eval failed (seed {prog_seed}): {e}\n{prog}")
         });
@@ -221,7 +251,7 @@ fn check_case(prog_seed: u64, db: &Database) {
     // rules, delta variants, strata levels, partitioned joins).
     for threads in [1usize, 2, 8] {
         let wide = ExecOptions { threads, ..ExecOptions::default() };
-        let par = exec::eval_datalog_all_with(Engine::Indexed, &prog, db, wide)
+        let par = exec::eval_datalog_all_with(Engine::Indexed, prog, db, wide)
             .unwrap_or_else(|e| {
                 panic!("parallel fixpoint failed (seed {prog_seed}, {threads}t): {e}\n{prog}")
             });
@@ -250,4 +280,39 @@ proptest! {
         let db = generate_binary_pair(db_seed, n, DOMAIN);
         check_case(prog_seed, &db);
     }
+}
+
+/// EDB atoms with singleton variables and constants: the atom-dedup
+/// rule narrows such an atom to the variables the rest of its rule uses
+/// (when its sketches promise at least a halving) in non-recursive
+/// strata, negated ones included, and never inside a recursive stratum.
+/// Every answer must match the reference as above, and the optimized
+/// (narrowed) fixpoint must render exactly as the unoptimized one.
+#[test]
+fn atom_dedup_fires_outside_recursion_and_matches_reference() {
+    let (mut fired, mut fired_with_negation, mut recursive_strata) = (0, 0, 0);
+    for seed in 0..150u64 {
+        let db = generate_binary_pair(seed % 64, 8 + (seed % 17) as usize, DOMAIN);
+        let prog = Gen::with_singletons(seed).program();
+        check_program(&prog, seed, &db);
+        let plan = plan_datalog_with(&prog, &db, OptConfig::optimized())
+            .unwrap_or_else(|e| panic!("planner rejected a valid program (seed {seed}): {e}"));
+        for stratum in &plan.strata {
+            recursive_strata += usize::from(stratum.recursive);
+            for rule in &stratum.rules {
+                let plans = std::iter::once(&rule.full).chain(rule.deltas.iter().map(|d| &d.plan));
+                let text: String = plans.map(exec::explain).collect();
+                let dedups = text.matches("Dedup").count();
+                if stratum.recursive {
+                    assert_eq!(dedups, 0, "dedup in a recursive stratum (seed {seed}):\n{text}");
+                } else {
+                    fired += dedups;
+                    fired_with_negation += usize::from(dedups > 0 && text.contains("AntiJoin"));
+                }
+            }
+        }
+    }
+    assert!(fired >= 20, "atom dedup fired only {fired} times");
+    assert!(fired_with_negation >= 5, "atom dedup fired in {fired_with_negation} negated rules");
+    assert!(recursive_strata >= 20, "only {recursive_strata} recursive strata generated");
 }
